@@ -42,24 +42,6 @@ class PMEPModel(TargetSystem):
         self._throttle = Server()
         self._throttle_ps = write_bw_line_ps
         self.name = "pmep"
-        self._rebuild_fast_paths()
-
-    def _rebuild_fast_paths(self) -> None:
-        """Bind uninstrumented read/write when nothing records (the
-        registry re-invokes this after attaching session telemetry)."""
-        if self._uninstrumented():
-            self.read = self._read_fast
-            self.write = self._write_fast
-        else:
-            self.__dict__.pop("read", None)
-            self.__dict__.pop("write", None)
-
-    def _read_fast(self, addr: int, now: int) -> int:
-        return self.dram.access(addr, False, now) + self.read_delay_ps
-
-    def _write_fast(self, addr: int, now: int) -> int:
-        start = self._throttle.serve(now, self._throttle_ps)
-        return self.dram.access(addr, True, start) + self.write_delay_ps
 
     def read(self, addr: int, now: int) -> int:
         """DRAM access plus the injected constant NVRAM delay."""
@@ -90,9 +72,16 @@ class PMEPModel(TargetSystem):
         """Non-temporal store: the uncached path is serialized and slow
         on the emulation platform (it occupies the throttled channel for
         the whole uncached transaction)."""
+        fa = self.faults
+        if fa.enabled:
+            fa.on_request(now)
         start = self._throttle.serve(now, self.nt_write_ps)
         self.dram.access(addr, True, start)
-        return start + self.nt_write_ps
+        done = start + self.nt_write_ps
+        tel = self.telemetry
+        if tel.enabled:
+            tel.tick(done)
+        return done
 
     def fence(self, now: int) -> int:
         return now
@@ -105,4 +94,3 @@ class PMEPModel(TargetSystem):
         """Warm-cache reset: idle DRAM and throttle server."""
         self.dram.reset()
         self._throttle.reset()
-        self._rebuild_fast_paths()

@@ -34,25 +34,6 @@ class QuartzModel(TargetSystem):
         self._accesses = 0
         self._epoch_skew_ps = 0  # accumulated injected stall
         self.name = "quartz"
-        self._rebuild_fast_paths()
-
-    def _rebuild_fast_paths(self) -> None:
-        """Bind uninstrumented read/write when nothing records (the
-        registry re-invokes this after attaching session telemetry)."""
-        if self._uninstrumented():
-            self.read = self._read_fast
-            self.write = self._write_fast
-        else:
-            self.__dict__.pop("read", None)
-            self.__dict__.pop("write", None)
-
-    def _read_fast(self, addr: int, now: int) -> int:
-        return self._account(self.extra_read_ps,
-                             self.dram.access(addr, False, now))
-
-    def _write_fast(self, addr: int, now: int) -> int:
-        return self._account(self.extra_write_ps,
-                             self.dram.access(addr, True, now))
 
     def _account(self, extra_ps: int, now: int) -> int:
         """Bank the emulation delay; inject it at epoch boundaries."""
@@ -97,4 +78,3 @@ class QuartzModel(TargetSystem):
         self._pending_delay_ps = 0
         self._accesses = 0
         self._epoch_skew_ps = 0
-        self._rebuild_fast_paths()

@@ -34,25 +34,6 @@ class SlowDramSystem(TargetSystem):
         self.stats = self.dram.stats
         self._c_reads = self.stats.counter("slowdram.reads")
         self._c_writes = self.stats.counter("slowdram.writes")
-        self._rebuild_fast_paths()
-
-    def _rebuild_fast_paths(self) -> None:
-        """Bind uninstrumented read/write when nothing records (the
-        registry re-invokes this after attaching session telemetry)."""
-        if self._uninstrumented():
-            self.read = self._read_fast
-            self.write = self._write_fast
-        else:
-            self.__dict__.pop("read", None)
-            self.__dict__.pop("write", None)
-
-    def _read_fast(self, addr: int, now: int) -> int:
-        self._c_reads.add()
-        return self.dram.access(addr, False, now + self.frontend_ps)
-
-    def _write_fast(self, addr: int, now: int) -> int:
-        self._c_writes.add()
-        return self.dram.access(addr, True, now + self.frontend_ps)
 
     def read(self, addr: int, now: int) -> int:
         self._c_reads.add()
@@ -84,7 +65,6 @@ class SlowDramSystem(TargetSystem):
         (``self.stats`` aliases the device registry, which
         ``dram.reset()`` already zeroes)."""
         self.dram.reset()
-        self._rebuild_fast_paths()
 
 
 def dramsim2_ddr3(**kwargs) -> SlowDramSystem:

@@ -26,7 +26,6 @@ import multiprocessing
 import random
 import time
 import traceback
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -171,6 +170,17 @@ def make_flight_recorder(spec: Optional[Mapping[str, object]]
     return FlightRecorder(**spec)
 
 
+def _fault_injector(faults: Optional[Mapping[str, object]]
+                    ) -> Optional[FaultInjector]:
+    """A fresh injector + persistence checker for a plan document (or
+    :class:`FaultPlan`); ``None`` when no plan was given."""
+    if faults is None:
+        return None
+    plan = (faults if isinstance(faults, FaultPlan)
+            else FaultPlan.from_dict(faults))
+    return FaultInjector(plan, checker=PersistenceChecker())
+
+
 def _release_collected(collection: Collection) -> None:
     """Park the experiment's registry-built systems in the warm cache.
 
@@ -243,20 +253,11 @@ def run_experiment(exp_id: str, scale: Scale = Scale.SMOKE,
         raise UnknownExperimentError(exp_id, REGISTRY)
     random.seed(f"repro-exp:{seed}:{exp_id}")
     start = time.time()
-    fl_session = (flight_session(flight) if flight is not None
-                  else nullcontext())
     sampler = TelemetrySampler(**telemetry) if telemetry is not None else None
-    tel_session = (telemetry_session(sampler) if sampler is not None
-                   else nullcontext())
-    injector: Optional[FaultInjector] = None
-    if faults is not None:
-        plan = (faults if isinstance(faults, FaultPlan)
-                else FaultPlan.from_dict(faults))
-        injector = FaultInjector(plan, checker=PersistenceChecker())
-    fa_session = (faults_session(injector) if injector is not None
-                  else nullcontext())
-    with fl_session, tel_session, fa_session, \
-            progress_session(progress), prof_session(prof):
+    injector = _fault_injector(faults)
+    with flight_session(flight), telemetry_session(sampler), \
+            faults_session(injector), progress_session(progress), \
+            prof_session(prof):
         if progress is not None:
             progress.phase(exp_id)
         with Collection() as collection:
@@ -379,15 +380,9 @@ def run_stream(target: str, ops: Sequence[Mapping[str, object]],
         return run_shard_stream(target, ops, shards=shards,
                                 overrides=overrides, session=session,
                                 progress=progress)
-    injector: Optional[FaultInjector] = None
-    if faults is not None:
-        plan = (faults if isinstance(faults, FaultPlan)
-                else FaultPlan.from_dict(faults))
-        injector = FaultInjector(plan, checker=PersistenceChecker())
-    fa_session = (faults_session(injector) if injector is not None
-                  else nullcontext())
-    with fa_session, progress_session(progress), prof_session(prof), \
-            Collection() as collection:
+    injector = _fault_injector(faults)
+    with faults_session(injector), progress_session(progress), \
+            prof_session(prof), Collection() as collection:
         if progress is not None:
             progress.phase(f"stream:{target}")
         system = registry.acquire(target, **dict(overrides or {}))

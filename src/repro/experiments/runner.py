@@ -338,7 +338,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="export sampled records as a Chrome/Perfetto "
                              "trace.json (implies --flight)")
     from repro.tools.telemetry_opts import (add_telemetry_args,
-                                            report_telemetry,
                                             telemetry_spec_from_args)
     add_telemetry_args(parser)
     args = parser.parse_args(argv)
@@ -442,6 +441,7 @@ def _run_campaign(args, ids, scale, flight_spec, telemetry_spec,
             print(f"[{exp_id} done in {time.time() - start:.1f}s]\n")
 
     if telemetry_spec is not None:
+        from repro.tools.telemetry_opts import report_telemetry
         report_telemetry(collected, args)
     if flight_spec is not None:
         for op, breakdown in breakdowns(all_records).items():

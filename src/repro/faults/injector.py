@@ -25,6 +25,7 @@ component             hooks
 ====================  ===================================================
 iMC read/write        ``on_request`` (request-count triggers),
                       ``note_write`` (persistence history)
+baseline requests     ``on_request`` (read/write, PMEP ``write_nt``)
 iMC / DDR-T link      ``link_extra_ps`` (stuck/slow link episodes)
 DIMM fence path       ``note_fence``
 3D-XPoint media       ``media_extra_ps`` (latency spikes + UE retries)
@@ -37,8 +38,9 @@ event engine          ``tick`` (sim-time high-water mark)
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, NamedTuple, Optional, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
+from repro.common.session import SessionStack
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.persistence import PersistenceChecker
 from repro.flight.recorder import current as current_flight
@@ -350,27 +352,11 @@ class FaultInjector:
         }
 
 
-AnyFaults = Union[FaultInjector, NullFaultInjector]
-
 # ----------------------------------------------------------------------
-# session: route registry-built systems onto one injector
+# session: ``session(injector)`` attaches the injector to every system
+# the target registry builds while active (``None`` is a no-op context)
 # ----------------------------------------------------------------------
 
-_ACTIVE_SESSIONS: List[FaultInjector] = []
-
-
-def current() -> AnyFaults:
-    """The innermost active session injector, or :data:`NULL_FAULTS`."""
-    return _ACTIVE_SESSIONS[-1] if _ACTIVE_SESSIONS else NULL_FAULTS
-
-
-@contextmanager
-def session(injector: FaultInjector) -> Iterator[FaultInjector]:
-    """Attach ``injector`` to every system the target registry builds
-    while the context is active (mirrors the flight/telemetry
-    sessions)."""
-    _ACTIVE_SESSIONS.append(injector)
-    try:
-        yield injector
-    finally:
-        _ACTIVE_SESSIONS.remove(injector)
+_SESSIONS = SessionStack(NULL_FAULTS)
+current = _SESSIONS.current
+session = _SESSIONS.session

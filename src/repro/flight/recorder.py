@@ -27,12 +27,12 @@ record, so flight-recorded runs stay bit-deterministic.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
+from repro.common.session import SessionStack
 
 #: sampling policies understood by :class:`FlightRecorder`
 MODES = ("all", "every", "reservoir")
@@ -253,24 +253,10 @@ class FlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# session: route registry-built systems onto one recorder
+# session: ``session(recorder)`` attaches the recorder to every system
+# the target registry builds while active (``None`` is a no-op context)
 # ----------------------------------------------------------------------
 
-_ACTIVE_SESSIONS: List[FlightRecorder] = []
-
-
-def current() -> "FlightRecorder | NullFlightRecorder":
-    """The innermost active session recorder, or :data:`NULL_FLIGHT`."""
-    return _ACTIVE_SESSIONS[-1] if _ACTIVE_SESSIONS else NULL_FLIGHT
-
-
-@contextmanager
-def session(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
-    """Attach ``recorder`` to every system the target registry builds
-    while the context is active (mirrors
-    :class:`repro.instrument.Collection`)."""
-    _ACTIVE_SESSIONS.append(recorder)
-    try:
-        yield recorder
-    finally:
-        _ACTIVE_SESSIONS.remove(recorder)
+_SESSIONS = SessionStack(NULL_FLIGHT)
+current = _SESSIONS.current
+session = _SESSIONS.session

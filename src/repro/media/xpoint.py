@@ -55,20 +55,13 @@ class XPointMedia:
         self._writes = self.stats.counter("media.writes")
         self._bytes_read = self.stats.counter("media.bytes_read")
         self._bytes_written = self.stats.counter("media.bytes_written")
-        # Precompiled dispatch: flight/faults are constructor-fixed, so
-        # uninstrumented media binds access variants with the fault/flight
-        # checks compiled out and the block loop's bindings hoisted.  The
-        # per-partition serves happen in the identical order with the
-        # identical service times, so timing stays bit-identical.
-        if self.flight is NULL_FLIGHT and self.faults is NULL_FAULTS:
-            self.access = self._access_fast
-            self.access_block = self._access_block_fast
 
-    def _access_fast(self, media_addr: int, is_write: bool, now: int) -> int:
-        """Uninstrumented :meth:`access` (same timing, no fault/flight)."""
+    def access(self, media_addr: int, is_write: bool, now: int) -> int:
+        """One aligned 256B media access; returns completion time."""
         cfg = self.config
         gran = cfg.granularity
-        media_addr = (media_addr % cfg.capacity_bytes) // gran * gran
+        unit = (media_addr % cfg.capacity_bytes) // gran
+        media_addr = unit * gran
         if is_write:
             self._writes.add()
             self._bytes_written.add(gran)
@@ -77,59 +70,12 @@ class XPointMedia:
             self._reads.add()
             self._bytes_read.add(gran)
             service = cfg.read_ps
-        return self.banks.serve(media_addr // gran % cfg.npartitions,
-                                now, service)
-
-    def _access_block_fast(self, media_addr: int, nbytes: int,
-                           is_write: bool, now: int) -> int:
-        """Uninstrumented :meth:`access_block`: one batched counter
-        update and direct per-partition serves (same order and service
-        times as unit-by-unit :meth:`access` calls)."""
-        cfg = self.config
-        gran = cfg.granularity
-        capacity = cfg.capacity_bytes
-        npartitions = cfg.npartitions
-        banks = self.banks.banks
-        completion = now
-        end = media_addr + max(nbytes, gran)
-        addr = align_down(media_addr, gran)
-        units = 0
-        while addr < end:
-            unit = (addr % capacity) // gran * gran
-            done = banks[unit // gran % npartitions].serve(
-                now, cfg.write_ps if is_write else cfg.read_ps)
-            if done > completion:
-                completion = done
-            addr += gran
-            units += 1
-        if is_write:
-            self._writes.add(units)
-            self._bytes_written.add(units * gran)
-        else:
-            self._reads.add(units)
-            self._bytes_read.add(units * gran)
-        return completion
-
-    def _partition_of(self, media_addr: int) -> int:
-        return (media_addr // self.config.granularity) % self.config.npartitions
-
-    def access(self, media_addr: int, is_write: bool, now: int) -> int:
-        """One aligned 256B media access; returns completion time."""
-        cfg = self.config
-        media_addr = align_down(media_addr % cfg.capacity_bytes, cfg.granularity)
-        service = cfg.write_ps if is_write else cfg.read_ps
         fa = self.faults
         if fa.enabled:
             # latency-spike episodes and UE retry/ECC cost on reads in an
             # uncorrectable region
             service += fa.media_extra_ps(media_addr, is_write, now, service)
-        if is_write:
-            self._writes.add()
-            self._bytes_written.add(cfg.granularity)
-        else:
-            self._reads.add()
-            self._bytes_read.add(cfg.granularity)
-        partition = self._partition_of(media_addr)
+        partition = unit % cfg.npartitions
         done = self.banks.serve(partition, now, service)
         if self.flight.active:
             self.flight.span("media", now, done,

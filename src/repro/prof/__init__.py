@@ -5,8 +5,8 @@ process spends its cycles) per station/event-handler callsite — the
 complement of the flight recorder, which attributes *simulated*
 nanoseconds.  It is the fifth zero-cost hook after the instrument bus,
 flight recorder, telemetry, and progress sinks: uninstrumented runs
-see only the class-level :data:`NULL_PROF` null object and keep the
-precompiled fast paths bound.
+see only the class-level :data:`NULL_PROF` null object, and nothing is
+wrapped.
 """
 
 from repro.prof.profiler import (

@@ -12,28 +12,28 @@ Two attachment surfaces exist:
 
 * :meth:`Profiler.instrument` wraps the methods a target system names
   in its ``profile_points()`` protocol.  Wrapping happens *instance*-
-  side over whatever binding is live — including the precompiled fast
-  variants — so timings stay representative of the uninstrumented
-  code and the fast bindings are restored exactly on uninstrument.
+  side over the class methods every run executes, so timings stay
+  representative of unprofiled runs; uninstrumenting deletes the
+  wrappers and the class methods show through again.
 * ``engine.profiler = prof`` routes the event engine through its
   profiled dispatch replica, attributing each callback by qualname.
 
-Sessions mirror :mod:`repro.progress`: ``session(prof)`` makes the
-profiler visible to ``registry.build()`` via :func:`current`, and
-uninstruments everything on exit.  The schema of the exported profile
-document is ``repro.prof/1``.
+Sessions use the shared :class:`~repro.common.session.SessionStack`:
+``session(prof)`` makes the profiler visible to ``registry.build()``
+via :func:`current`, and uninstruments everything on exit.  The schema
+of the exported profile document is ``repro.prof/1``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import methodcaller
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-PROFILE_SCHEMA = "repro.prof/1"
+from repro.common.session import SessionStack
 
-#: sentinel for "no prior instance-side binding existed"
-_MISSING = object()
+PROFILE_SCHEMA = "repro.prof/1"
 
 
 class NullProfiler:
@@ -77,7 +77,7 @@ class Profiler:
         self._frames: Dict[str, List[int]] = {}
         #: stack path tuple -> [calls, self_ns]
         self._paths: Dict[Tuple[str, ...], List[int]] = {}
-        #: (owner, method name, installed wrapper) records for restore
+        #: (owner, method name, installed wrapper) records for removal
         self._wrapped: List[Tuple[Any, str, Any]] = []
         self._systems: List[Any] = []
         self._engines: List[Any] = []
@@ -156,9 +156,9 @@ class Profiler:
     def instrument(self, system: Any) -> None:
         """Wrap every attribution point a system advertises.
 
-        Wrapping is instance-side over the live binding (fast variants
-        included); objects without a ``__dict__`` (slotted stations)
-        are skipped — their time lands in the owning component's key.
+        Wrapping is instance-side over the class method; objects
+        without a ``__dict__`` (slotted stations) are skipped — their
+        time lands in the owning component's key.
         """
         points = getattr(system, "profile_points", None)
         if points is None:
@@ -173,7 +173,6 @@ class Profiler:
             if bound is None:
                 continue
             wrapper = self.wrap(key, bound)
-            wrapper.__repro_prof_prior__ = d.get(name, _MISSING)
             d[name] = wrapper
             self._wrapped.append((obj, name, wrapper))
         d = getattr(system, "__dict__", None)
@@ -188,21 +187,16 @@ class Profiler:
         self._engines.append(engine)
 
     def uninstrument_all(self) -> None:
-        """Restore every binding this profiler installed.
+        """Delete every wrapper this profiler installed.
 
         Only bindings still pointing at our wrapper are touched, so a
-        system that was reset or released mid-session (which rebinds
-        its fast paths itself) is left alone.
+        system released mid-session (which :func:`uninstrument` already
+        stripped) or rewrapped by someone else is left alone.
         """
-        for obj, name, wrapper in reversed(self._wrapped):
+        for obj, name, wrapper in self._wrapped:
             d = getattr(obj, "__dict__", None)
-            if d is None or d.get(name) is not wrapper:
-                continue
-            prior = wrapper.__repro_prof_prior__
-            if prior is _MISSING:
+            if d is not None and d.get(name) is wrapper:
                 del d[name]
-            else:
-                d[name] = prior
         self._wrapped.clear()
         for system in self._systems:
             d = getattr(system, "__dict__", None)
@@ -323,44 +317,19 @@ def uninstrument(system: Any) -> None:
     if points is not None:
         for _key, obj, name in points():
             od = getattr(obj, "__dict__", None)
-            if od is None:
-                continue
-            current_binding = od.get(name)
-            if getattr(current_binding, "__repro_prof__", False):
-                prior = current_binding.__repro_prof_prior__
-                if prior is _MISSING:
-                    del od[name]
-                else:
-                    od[name] = prior
+            if od is not None and getattr(od.get(name), "__repro_prof__",
+                                          False):
+                del od[name]
     d.pop("prof", None)
     d.pop("_prof_wrapped", None)
 
 
 # ----------------------------------------------------------------------
-# session plumbing (mirrors repro.progress)
+# session plumbing: ``session(prof)`` makes the profiler current for the
+# block (``None`` keeps NULL_PROF current) and uninstruments on exit
 # ----------------------------------------------------------------------
 
-_ACTIVE_SESSIONS: List[Profiler] = []
-
-
-def current() -> Any:
-    """The innermost active profiler, or :data:`NULL_PROF`."""
-    return _ACTIVE_SESSIONS[-1] if _ACTIVE_SESSIONS else NULL_PROF
-
-
-@contextmanager
-def session(profiler: Optional[Profiler]) -> Iterator[Any]:
-    """Make ``profiler`` current for the duration of the block.
-
-    ``None`` keeps the null profiler current (no-op path).  On exit
-    the profiler uninstruments everything it wrapped.
-    """
-    if profiler is None:
-        yield NULL_PROF
-        return
-    _ACTIVE_SESSIONS.append(profiler)
-    try:
-        yield profiler
-    finally:
-        _ACTIVE_SESSIONS.remove(profiler)
-        profiler.uninstrument_all()
+_SESSIONS = SessionStack(NULL_PROF,
+                         on_exit=methodcaller("uninstrument_all"))
+current = _SESSIONS.current
+session = _SESSIONS.session

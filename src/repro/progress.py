@@ -39,8 +39,10 @@ Design mirrors the other zero-cost hooks exactly:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from operator import methodcaller
+from typing import Callable, Dict, List
+
+from repro.common.session import SessionStack
 
 #: default simulated interval between due frames: 100 us of sim time
 DEFAULT_INTERVAL_PS = 100_000_000
@@ -234,30 +236,11 @@ class TelemetryFanout:
 
 
 # ----------------------------------------------------------------------
-# session: route registry-built systems onto one reporter
+# session: ``session(reporter)`` attaches the reporter to every system
+# the target registry builds while active and emits the terminal frame
+# on exit (``None`` is a no-op context)
 # ----------------------------------------------------------------------
 
-_ACTIVE_SESSIONS: List[ProgressReporter] = []
-
-
-def current() -> "ProgressReporter | NullProgress":
-    """The innermost active reporter, or :data:`NULL_PROGRESS`."""
-    return _ACTIVE_SESSIONS[-1] if _ACTIVE_SESSIONS else NULL_PROGRESS
-
-
-@contextmanager
-def session(reporter: Optional[ProgressReporter]
-            ) -> Iterator["ProgressReporter | NullProgress"]:
-    """Attach ``reporter`` to every system the target registry builds
-    while active (mirrors ``telemetry.session``); emits the terminal
-    frame on exit.  ``None`` is a no-op context for caller convenience.
-    """
-    if reporter is None:
-        yield NULL_PROGRESS
-        return
-    _ACTIVE_SESSIONS.append(reporter)
-    try:
-        yield reporter
-    finally:
-        _ACTIVE_SESSIONS.remove(reporter)
-        reporter.finalize()
+_SESSIONS = SessionStack(NULL_PROGRESS, on_exit=methodcaller("finalize"))
+current = _SESSIONS.current
+session = _SESSIONS.session

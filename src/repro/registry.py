@@ -145,8 +145,8 @@ def _attach_session(system: Any) -> Any:
     """Wire a built (or warm-cache reused) system into the session.
 
     Announces to the active instrumentation Collection, attaches live
-    telemetry instance-side, publishes fault counters, and recompiles
-    the system's hot-path method bindings to match.
+    telemetry instance-side, publishes fault counters, and wraps the
+    system for the active host profiler.
     """
     announce(system)
     telemetry = current_telemetry()
@@ -177,17 +177,11 @@ def _attach_session(system: Any) -> Any:
         bus = getattr(system, "instrument", None)
         if isinstance(bus, InstrumentBus):
             faults.publish(bus)
-    if isinstance(system, TargetSystem):
-        # Session instrumentation was attached instance-side above;
-        # recompile the system's hot-path method bindings to match
-        # (fast uninstrumented variants vs the full class methods).
-        system._rebuild_fast_paths()
-        # The host profiler wraps last, over the final (possibly fast)
-        # bindings: timings then cover exactly the code production runs
-        # execute, and the session tear-down restores the bindings.
-        prof = current_prof()
-        if prof.enabled:
-            prof.instrument(system)
+    prof = current_prof()
+    if prof.enabled and isinstance(system, TargetSystem):
+        # The host profiler wraps last, over the class methods every run
+        # executes; the session tear-down deletes the wrappers again.
+        prof.instrument(system)
     return system
 
 

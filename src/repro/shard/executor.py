@@ -294,7 +294,7 @@ def _resolve_engine(level: str, engine: str) -> str:
     return engine
 
 
-def _check_uninstrumented(target: str) -> None:
+def _refuse_recording_sessions(target: str) -> None:
     if current_flight().enabled or current_faults().enabled \
             or current_telemetry().enabled:
         raise ShardError(
@@ -346,7 +346,7 @@ def prepare(target: str, ops: Sequence[Mapping[str, object]], *,
     execution yet; the bench suite reuses one prepared job across
     repeats)."""
     engine = _resolve_engine(level, engine)
-    _check_uninstrumented(target)
+    _refuse_recording_sessions(target)
     overrides = dict(overrides or {})
     epochs = compile_epochs(ops)
     probe = registry.build(target, **overrides)
@@ -421,6 +421,18 @@ def _recv(conn, proc, shard: int, timeout_s: float):
     return value
 
 
+def _send(conn, proc, shard: int, timeout_s: float, message) -> None:
+    """Send one barrier message.  A worker that already exited has left
+    its error report (or EOF) in the pipe: raise that instead of the
+    broken pipe."""
+    try:
+        conn.send(message)
+    except OSError:
+        _recv(conn, proc, shard, timeout_s)
+        raise ShardError(f"shard {shard} worker closed its pipe "
+                         f"(exit code {proc.exitcode})")
+
+
 def execute_forked(prepared: _Prepared,
                    timeout_s: float = DEFAULT_TIMEOUT_S
                    ) -> Tuple[int, List[Dict]]:
@@ -447,14 +459,14 @@ def execute_forked(prepared: _Prepared,
             workers.append((proc, parent_conn, shard))
         base = 0
         for is_fenced in prepared.fenced:
-            for _, conn, _ in workers:
-                conn.send(("epoch", base))
+            for proc, conn, shard in workers:
+                _send(conn, proc, shard, timeout_s, ("epoch", base))
             maxes = [_recv(conn, proc, shard, timeout_s)
                      for proc, conn, shard in workers]
             gmax = max([base] + maxes)
             if is_fenced:
-                for _, conn, _ in workers:
-                    conn.send(("fence", gmax))
+                for proc, conn, shard in workers:
+                    _send(conn, proc, shard, timeout_s, ("fence", gmax))
                 base = max([gmax] + [_recv(conn, proc, shard, timeout_s)
                                      for proc, conn, shard in workers])
             else:

@@ -37,28 +37,10 @@ class TargetSystem(ABC):
     faults = NULL_FAULTS
 
     #: host wall-clock profiler (instance-side when a profiling session
-    #: is active; the class default is the zero-cost no-op).  Unlike the
-    #: other hooks, the profiler does not flip :meth:`_uninstrumented`:
-    #: it wraps whatever bindings are live — precompiled fast variants
-    #: included — so timings stay representative of production runs.
+    #: is active; the class default is the zero-cost no-op).  It wraps
+    #: the class methods named by :meth:`profile_points` instance-side,
+    #: so timings cover the same code unprofiled runs execute.
     prof = NULL_PROF
-
-    def _rebuild_fast_paths(self) -> None:
-        """Recompile hot-path method bindings after instrumentation changes.
-
-        Mirrors the engine kernel's precompiled dispatch slot: systems
-        with uninstrumented fast variants of ``read``/``write`` bind them
-        instance-side here when ``flight``/``telemetry``/``faults`` are
-        all the null no-ops, and restore the full class implementations
-        otherwise.  The registry calls this after attaching session
-        instrumentation; the default is a no-op.
-        """
-
-    def _uninstrumented(self) -> bool:
-        """True when every instrumentation hook is the zero-cost null."""
-        return (self.flight is NULL_FLIGHT
-                and self.telemetry is NULL_TELEMETRY
-                and self.faults is NULL_FAULTS)
 
     def profile_points(self):
         """Host-profiler attribution points: ``(key, owner, method)``.

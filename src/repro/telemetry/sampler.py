@@ -38,9 +38,10 @@ mark, so out-of-order completions never move time backwards.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import methodcaller
+from typing import Dict, List, Tuple
 
+from repro.common.session import SessionStack
 from repro.common.units import US
 from repro.engine.stats import Histogram, StatsRegistry
 from repro.instrument import InstrumentBus
@@ -238,26 +239,11 @@ class TelemetrySampler:
 
 
 # ----------------------------------------------------------------------
-# session: route registry-built systems onto one sampler
+# session: ``session(sampler)`` attaches the sampler to every system the
+# target registry builds while active and finalizes the timeline on exit
+# (``None`` is a no-op context)
 # ----------------------------------------------------------------------
 
-_ACTIVE_SESSIONS: List[TelemetrySampler] = []
-
-
-def current() -> "TelemetrySampler | NullTelemetry":
-    """The innermost active session sampler, or :data:`NULL_TELEMETRY`."""
-    return _ACTIVE_SESSIONS[-1] if _ACTIVE_SESSIONS else NULL_TELEMETRY
-
-
-@contextmanager
-def session(sampler: TelemetrySampler) -> Iterator[TelemetrySampler]:
-    """Attach ``sampler`` to every system the target registry builds
-    while the context is active (mirrors ``flight.session`` and
-    :class:`repro.instrument.Collection`).  Finalizes the timeline on
-    exit."""
-    _ACTIVE_SESSIONS.append(sampler)
-    try:
-        yield sampler
-    finally:
-        _ACTIVE_SESSIONS.remove(sampler)
-        sampler.finalize()
+_SESSIONS = SessionStack(NULL_TELEMETRY, on_exit=methodcaller("finalize"))
+current = _SESSIONS.current
+session = _SESSIONS.session

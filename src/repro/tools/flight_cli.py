@@ -24,8 +24,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from contextlib import nullcontext
-
 from repro import registry
 from repro.common.errors import ReproError
 from repro.flight import FlightRecorder, breakdowns, save_chrome_trace, session
@@ -81,10 +79,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     telemetry_spec = telemetry_spec_from_args(args)
     sampler = (TelemetrySampler(**telemetry_spec)
                if telemetry_spec is not None else None)
-    tel_session = (telemetry_session(sampler) if sampler is not None
-                   else nullcontext())
     try:
-        with session(recorder), tel_session:
+        with session(recorder), telemetry_session(sampler):
             target = make_target(args.target)()
             if args.trace:
                 workload = load_trace(args.trace)

@@ -13,8 +13,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from contextlib import nullcontext
-
 from repro import registry
 from repro.common.errors import UnknownTargetError
 from repro.common.units import pretty_size
@@ -45,9 +43,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     recorder = recorder_from_args(args)
-    session = flight_session(recorder) if recorder is not None else nullcontext()
     if args.buffers:
-        with session:
+        with flight_session(recorder):
             report = BufferProber(factory).run()
         caps = [pretty_size(c) for c in report.read_capacities]
         wcaps = [pretty_size(c) for c in report.write_capacities]
@@ -66,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     interleaved = None
     if args.target == "vans":
         interleaved = registry.factory("vans-6dimm")
-    with session:
+    with flight_session(recorder):
         chara = characterize(
             factory,
             interleaved_factory=interleaved,

@@ -16,8 +16,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from contextlib import nullcontext
-
 from repro import registry
 from repro.common.errors import UnknownTargetError
 from repro.common.rng import make_rng
@@ -77,9 +75,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     recorder = recorder_from_args(args)
-    session = flight_session(recorder) if recorder is not None else nullcontext()
     try:
-        with session:
+        with flight_session(recorder):
             target = make_target(args.target)()
             result = replay(load_trace(args.input), target)
     except UnknownTargetError as exc:

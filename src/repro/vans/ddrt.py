@@ -57,33 +57,6 @@ class DdrtChannel:
         self.channel = channel
         self._c_reads = self.stats.counter("ddrt.read_txns")
         self._c_writes = self.stats.counter("ddrt.write_txns")
-        # Precompiled dispatch: flight/faults are constructor-fixed, so
-        # uninstrumented channels bind transaction variants with the
-        # fault/flight ladders compiled out (identical credit admissions
-        # and bus serves — timing stays bit-identical).
-        if self.flight is NULL_FLIGHT and self.faults is NULL_FAULTS:
-            self.send_read_request = self._send_read_request_fast
-            self.return_read_data = self._return_read_data_fast
-            self.send_write = self._send_write_fast
-
-    def _send_read_request_fast(self, now: int) -> int:
-        """Uninstrumented :meth:`send_read_request`."""
-        self._c_reads.add()
-        granted = self.credits.admit(now)
-        return self.command_bus.serve(granted, self.command_ps)
-
-    def _return_read_data_fast(self, ready: int) -> int:
-        """Uninstrumented :meth:`return_read_data`."""
-        done = self.data_bus.serve(ready, self.data_ps)
-        self.credits.retire_at(done)
-        return done
-
-    def _send_write_fast(self, now: int) -> int:
-        """Uninstrumented :meth:`send_write`."""
-        self._c_writes.add()
-        granted = self.credits.admit(now)
-        cmd_done = self.command_bus.serve(granted, self.command_ps)
-        return self.data_bus.serve(cmd_done, self.data_ps)
 
     def _command_ps(self, now: int) -> int:
         fa = self.faults

@@ -136,14 +136,6 @@ class NvramDimm:
         if self.lazy is not None:
             self.lazy.publish(bus, "lazy")
 
-        # Precompiled dispatch: flight/faults are constructor-fixed, so
-        # uninstrumented DIMMs bind line-request variants with the
-        # flight-span ladder compiled out.  Same stations served in the
-        # same order with the same arguments — timing is bit-identical.
-        if self.flight is NULL_FLIGHT and self.faults is NULL_FAULTS:
-            self.read_line = self._read_line_fast
-            self.write_line = self._write_line_fast
-
     # ------------------------------------------------------------------
     # address helpers
     # ------------------------------------------------------------------
@@ -344,60 +336,6 @@ class NvramDimm:
         if self.lazy is not None:
             yield ("lazy.absorb", self.lazy, "absorb")
             yield ("lazy.flush", self.lazy, "flush")
-
-    def _read_line_fast(self, addr: int, now: int) -> int:
-        """Uninstrumented :meth:`read_line` (same timing, no flight)."""
-        t = self.t
-        self._c_reads.add()
-        self._c_req_read_bytes.add(CACHE_LINE)
-        admit = self.lsq.admit(now)
-        start = self._turnaround(False, admit + t.lsq_proc_ps)
-        block = self._block_of(addr)
-        if self.lazy is not None and self.lazy.contains(block):
-            self._c_rmw_hits.add()
-            ready = self.engine.serve(start, self.lazy.config.hit_ps)
-        elif self._rmw_touch(block):
-            self._c_rmw_hits.add()
-            ready = self.engine.serve(start, t.rmw_hit_ps)
-        else:
-            self._c_rmw_misses.add()
-            self._c_rmw_fill_bytes.add(self.config.rmw.entry_bytes)
-            op_done = self.engine.serve(start, t.engine_op_ps)
-            ready = self._ait_read_block(addr, op_done) + t.rmw_fill_ps
-            self._rmw_insert(block)
-        done = self.bus.serve(ready, t.bus_line_ps) + t.ddrt_grant_ps
-        self.lsq.retire_at(done)
-        return done
-
-    def _write_line_fast(self, addr: int, now: int,
-                         nbytes: int = CACHE_LINE) -> int:
-        """Uninstrumented :meth:`write_line` (same timing, no flight)."""
-        t = self.t
-        self._c_writes.add()
-        self._c_write_bytes.add(nbytes)
-        admit = self.lsq.admit(now)
-        arrive = self._turnaround(True, admit + t.lsq_proc_ps)
-        block = self._block_of(addr)
-        line = align_down(addr, CACHE_LINE)
-        if (
-            self._wc_block == block
-            and line not in self._wc_lines
-            and arrive - self._wc_last_ps <= self.config.lsq.combine_window_ps
-        ):
-            self._wc_lines.add(line)
-            self._wc_last_ps = arrive
-            if len(self._wc_lines) * CACHE_LINE >= self.config.lsq.combine_bytes:
-                self._flush_wc(arrive)
-                self.lsq.retire_at(self._wc_drain_ps)
-            else:
-                self.lsq.retire_at(max(arrive, self._wc_drain_ps))
-            return admit
-        self._flush_wc(arrive)
-        self._wc_block = block
-        self._wc_lines = {line}
-        self._wc_last_ps = arrive
-        self.lsq.retire_at(max(arrive, self._wc_drain_ps))
-        return admit
 
     def read_line(self, addr: int, now: int) -> int:
         """Service a 64B read; returns the time data reaches the iMC."""

@@ -77,14 +77,6 @@ class IntegratedMemoryController:
         # Frozen-config hop constants hoisted off the per-request path.
         self._ddrt_request_ps = config.dimm.timing.ddrt_request_ps
         self._wpq_xfer_ps = config.dimm.timing.wpq_xfer_ps
-        # Precompiled dispatch: flight/faults are constructor-fixed for
-        # the iMC, so when both are the zero-cost nulls the per-request
-        # instrumentation ladder can be compiled out entirely.  The fast
-        # variants perform the identical admissions/serves/retires in the
-        # identical order, so timing stays bit-identical.
-        if self.flight is NULL_FLIGHT and self.faults is NULL_FAULTS:
-            self.read = self._read_fast
-            self.write = self._write_fast
 
     def profile_points(self):
         """Host-profiler attribution points (see ``TargetSystem``)."""
@@ -101,47 +93,9 @@ class IntegratedMemoryController:
         for dimm in self.dimms:
             yield from dimm.profile_points()
 
-    def _read_fast(self, addr: int, now: int) -> int:
-        """Uninstrumented :meth:`read` (same timing, no flight/faults)."""
-        self._c_reads.add()
-        dimm_idx, local = self.interleaver.map(addr)
-        rpq = self.rpqs[dimm_idx]
-        start = rpq.admit(now)
-        if self.ddrt is not None:
-            channel = self.ddrt[dimm_idx]
-            cmd_done = channel.send_read_request(start)
-            ready = self.dimms[dimm_idx].read_line(local, cmd_done)
-            done = channel.return_read_data(ready)
-        else:
-            done = self.dimms[dimm_idx].read_line(
-                local, start + self._ddrt_request_ps)
-        rpq.retire_at(done)
-        return done
-
-    def _write_fast(self, addr: int, now: int, nbytes: int = CACHE_LINE) -> int:
-        """Uninstrumented :meth:`write` (same timing, no flight/faults)."""
-        self._c_writes.add()
-        dimm_idx, local = self.interleaver.map(addr)
-        wpq = self.wpqs[dimm_idx]
-        accept = wpq.admit(now)
-        if self.ddrt is not None:
-            channel = self.ddrt[dimm_idx]
-            xfer_done = channel.send_write(accept)
-            lsq_admit = self.dimms[dimm_idx].write_line(local, xfer_done,
-                                                        nbytes)
-            channel.complete_write(lsq_admit)
-        else:
-            xfer_done = self.write_buses[dimm_idx].serve(accept,
-                                                         self._wpq_xfer_ps)
-            lsq_admit = self.dimms[dimm_idx].write_line(local, xfer_done,
-                                                        nbytes)
-        wpq.retire_at(max(lsq_admit, xfer_done))
-        return accept
-
     def read(self, addr: int, now: int) -> int:
         """Issue a 64B read; returns the time data reaches the core side."""
         self._c_reads.add()
-        t = self.config.dimm.timing
         fa = self.faults
         if fa.enabled:
             fa.on_request(now)
@@ -157,9 +111,9 @@ class IntegratedMemoryController:
             ready = self.dimms[dimm_idx].read_line(local, cmd_done)
             done = channel.return_read_data(ready)
         else:
-            hop = t.ddrt_request_ps
+            hop = self._ddrt_request_ps
             if fa.enabled:
-                hop += fa.link_extra_ps(dimm_idx, start, t.ddrt_request_ps)
+                hop += fa.link_extra_ps(dimm_idx, start, hop)
             if fl.active:
                 fl.span("ddrt.link", start, start + hop,
                         phase="request", channel=dimm_idx)
@@ -175,7 +129,6 @@ class IntegratedMemoryController:
         line has been transferred into the DIMM LSQ.
         """
         self._c_writes.add()
-        t = self.config.dimm.timing
         fa = self.faults
         if fa.enabled:
             fa.on_request(now)
@@ -196,9 +149,9 @@ class IntegratedMemoryController:
                                                         nbytes)
             channel.complete_write(lsq_admit)
         else:
-            xfer_ps = t.wpq_xfer_ps
+            xfer_ps = self._wpq_xfer_ps
             if fa.enabled:
-                xfer_ps += fa.link_extra_ps(dimm_idx, accept, t.wpq_xfer_ps)
+                xfer_ps += fa.link_extra_ps(dimm_idx, accept, xfer_ps)
             xfer_done = self.write_buses[dimm_idx].serve(accept, xfer_ps)
             if fl.active:
                 fl.span("imc.write_bus", accept, xfer_done, phase="drain",

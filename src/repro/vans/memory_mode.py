@@ -81,50 +81,33 @@ class MemoryModeSystem(TargetSystem):
         return done
 
     def read(self, addr: int, now: int) -> int:
-        fl = self.flight
-        if fl.enabled:
-            fl.begin("read", addr, CACHE_LINE, issue_ps=now)
-        index, tag = self._locate(addr)
-        entry = self._tags.get(index)
-        if entry is not None and entry[0] == tag:
-            self._c_hits.add()
-            done = self.dram.access(addr % self.dram_capacity, False, now)
-            if fl.enabled:
-                fl.span("memmode.dram", now, done, phase="hit")
-                fl.end(done)
-            return done
-        self._c_misses.add()
-        filled = self._fill(index, tag, False, now)
-        done = max(filled, self.dram.access(addr % self.dram_capacity, True,
-                                            filled))
-        if fl.enabled:
-            fl.span("memmode.dram", filled, done, phase="fill")
-            fl.end(done)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
-        return done
+        return self._access(addr, False, now)
 
     def write(self, addr: int, now: int) -> int:
+        return self._access(addr, True, now)
+
+    def _access(self, addr: int, is_write: bool, now: int) -> int:
+        """One 64B access through the DRAM cache.  Fault request ordinals
+        are counted iMC-side, by the backing NVRAM system on a miss."""
         fl = self.flight
         if fl.enabled:
-            fl.begin("write", addr, CACHE_LINE, issue_ps=now)
+            fl.begin("write" if is_write else "read", addr, CACHE_LINE,
+                     issue_ps=now)
         index, tag = self._locate(addr)
         entry = self._tags.get(index)
         if entry is not None and entry[0] == tag:
             self._c_hits.add()
-            self._tags[index] = (tag, True)
-            done = self.dram.access(addr % self.dram_capacity, True, now)
-            if fl.enabled:
-                fl.span("memmode.dram", now, done, phase="hit")
-                fl.end(done)
-            return done
-        self._c_misses.add()
-        filled = self._fill(index, tag, True, now)
-        done = max(filled, self.dram.access(addr % self.dram_capacity, True,
-                                            filled))
+            if is_write:
+                self._tags[index] = (tag, True)
+            start, phase = now, "hit"
+            done = self.dram.access(addr % self.dram_capacity, is_write, now)
+        else:
+            self._c_misses.add()
+            start, phase = self._fill(index, tag, is_write, now), "fill"
+            done = max(start, self.dram.access(addr % self.dram_capacity,
+                                               True, start))
         if fl.enabled:
-            fl.span("memmode.dram", filled, done, phase="fill")
+            fl.span("memmode.dram", start, done, phase=phase)
             fl.end(done)
         tel = self.telemetry
         if tel.enabled:
@@ -153,7 +136,6 @@ class MemoryModeSystem(TargetSystem):
         self.nvram.reset()
         self.stats.reset()
         self.instrument.reset()
-        self._rebuild_fast_paths()
 
     def instrument_snapshot(self) -> dict:
         """Cache-layer stats plus the backing NVRAM system's snapshot."""

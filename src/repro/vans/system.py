@@ -45,24 +45,8 @@ class VansSystem(TargetSystem):
         # Frozen-config constants hoisted off the per-request path.
         self._frontend_read_ps = self.config.dimm.timing.frontend_read_ps
         self._frontend_write_ps = self.config.dimm.timing.frontend_write_ps
-        self._rebuild_fast_paths()
 
     # -- TargetSystem ---------------------------------------------------
-
-    def _rebuild_fast_paths(self) -> None:
-        """Bind uninstrumented read/write variants when nothing records.
-
-        The fast variants compute the exact same timing (frontend hop +
-        iMC path + optional latency histogram) minus the flight/telemetry
-        branch ladder, so uninstrumented runs stay bit-identical while
-        skipping the per-request instrumentation checks.
-        """
-        if self._uninstrumented():
-            self.read = self._read_fast
-            self.write = self._write_fast
-        else:
-            self.__dict__.pop("read", None)
-            self.__dict__.pop("write", None)
 
     def profile_points(self):
         yield ("vans.read", self, "read")
@@ -70,26 +54,13 @@ class VansSystem(TargetSystem):
         yield ("vans.fence", self, "fence")
         yield from self.imc.profile_points()
 
-    def _read_fast(self, addr: int, now: int) -> int:
-        done = self.imc.read(addr, now + self._frontend_read_ps)
-        if self._collect:
-            self._hist_read.record(done - now)
-        return done
-
-    def _write_fast(self, addr: int, now: int) -> int:
-        accept = self.imc.write(addr, now + self._frontend_write_ps)
-        if self._collect:
-            self._hist_write.record(accept - now)
-        return accept
-
     def read(self, addr: int, now: int) -> int:
-        t = self.config.dimm.timing
+        issue = now + self._frontend_read_ps
         fl = self.flight
         if fl.enabled:
             fl.begin("read", addr, CACHE_LINE, issue_ps=now)
-            fl.span("cpu.frontend", now, now + t.frontend_read_ps,
-                    phase="read")
-        done = self.imc.read(addr, now + t.frontend_read_ps)
+            fl.span("cpu.frontend", now, issue, phase="read")
+        done = self.imc.read(addr, issue)
         if fl.enabled:
             fl.end(done)
         if self._collect:
@@ -100,13 +71,12 @@ class VansSystem(TargetSystem):
         return done
 
     def write(self, addr: int, now: int) -> int:
-        t = self.config.dimm.timing
+        issue = now + self._frontend_write_ps
         fl = self.flight
         if fl.enabled:
             fl.begin("write", addr, CACHE_LINE, issue_ps=now)
-            fl.span("cpu.frontend", now, now + t.frontend_write_ps,
-                    phase="write")
-        accept = self.imc.write(addr, now + t.frontend_write_ps)
+            fl.span("cpu.frontend", now, issue, phase="write")
+        accept = self.imc.write(addr, issue)
         if fl.enabled:
             fl.end(accept)
         if self._collect:
@@ -157,7 +127,6 @@ class VansSystem(TargetSystem):
         self.imc.reset()
         self.stats.reset()
         self.instrument.reset()
-        self._rebuild_fast_paths()
 
     # -- introspection ----------------------------------------------------
 

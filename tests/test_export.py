@@ -61,6 +61,13 @@ def test_runner_cli_with_json_export(tmp_path, capsys):
     assert {d["experiment"] for d in data} == {"fig1a", "fig1b"}
 
 
+def test_runner_cli_telemetry_csv(tmp_path, capsys):
+    out = tmp_path / "telemetry.csv"
+    assert runner_main(["fig1", "--telemetry",
+                        "--telemetry-csv", str(out)]) == 0
+    assert out.read_text().splitlines()[0]
+
+
 def test_runner_cli_plot_flag(capsys):
     assert runner_main(["fig1", "--plot"]) == 0
     out = capsys.readouterr().out

@@ -287,6 +287,16 @@ class TestRunnerFaultsIntegration:
             assert result.faults["summary"]["counters"]["power_cuts"] == 1
             assert "persistence" in result.faults
 
+    @pytest.mark.parametrize("op", ["write", "write_nt"])
+    def test_pmep_store_paths_count_requests(self, op):
+        from repro.experiments.exec import run_stream
+        doc = run_stream("pmep", [{"op": op, "count": 10, "stride": 64}],
+                         faults=power_cut_plan(at_request=5))
+        summary = doc["faults"]["summary"]
+        assert summary["requests"] == 10
+        assert summary["counters"]["power_cuts"] == 1
+        assert summary["power_cut_ps"] is not None
+
 
 class TestRandomPlanEdges:
     def test_zero_horizon_plan_is_well_formed(self):

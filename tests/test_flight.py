@@ -340,10 +340,8 @@ class TestVansWiring:
 
     def test_sampled_run_is_bit_identical_to_unsampled(self):
         """Recording must never perturb simulated time."""
-        from contextlib import nullcontext
-
         def end_time(fl):
-            with session(fl) if fl is not None else nullcontext():
+            with session(fl):
                 system = registry.build("vans")
                 now = 0
                 for i in range(100):

@@ -56,6 +56,26 @@ def test_hits_are_dram_speed(memmode):
     assert hit < 60_000
 
 
+def test_telemetry_ticks_on_hits_and_misses(memmode):
+    ticks = []
+
+    class Telemetry:
+        enabled = True
+
+        def tick(self, now_ps):
+            ticks.append(now_ps)
+
+    memmode.telemetry = Telemetry()
+    now = 0
+    for _ in range(50):
+        now = memmode.read(0, now)
+    for _ in range(10):
+        now = memmode.write(0, now)
+    assert memmode._c_misses.value == 1
+    assert len(ticks) == 60
+    assert ticks[-1] == now
+
+
 def test_reset_state(memmode):
     memmode.read(0, 0)
     memmode.reset_state()

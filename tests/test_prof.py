@@ -62,13 +62,13 @@ class TestNullProfiler:
         assert engine._fast_dispatch is True
         assert engine.profiler is None
 
-    def test_unprofiled_build_keeps_fast_bindings(self):
-        """registry.build without a prof session installs no wrappers."""
+    def test_unprofiled_build_binds_nothing_instance_side(self):
+        """registry.build without a prof session installs no wrappers:
+        every attribution point resolves to its class method."""
         system = registry.build("vans")
         try:
             for _key, obj, name in system.profile_points():
-                binding = getattr(obj, "__dict__", {}).get(name)
-                assert not getattr(binding, "__repro_prof__", False)
+                assert name not in getattr(obj, "__dict__", {})
         finally:
             registry.release(system)
 
@@ -140,9 +140,8 @@ class TestInstrumentLifecycle:
             assert system.__dict__.get("_prof_wrapped") is True
             now = system.read(0x2000, 0)
             assert now > 0
-        # session exit uninstruments: binding restored, marker gone
-        assert not getattr(system.__dict__.get("read"),
-                           "__repro_prof__", False)
+        # session exit uninstruments: wrapper deleted, marker gone
+        assert "read" not in system.__dict__
         assert "_prof_wrapped" not in system.__dict__
         assert current() is NULL_PROF
         registry.release(system)
@@ -156,8 +155,7 @@ class TestInstrumentLifecycle:
             system = registry.build("vans")
             registry.release(system)     # released inside the session
         for _key, obj, name in system.profile_points():
-            binding = getattr(obj, "__dict__", {}).get(name)
-            assert not getattr(binding, "__repro_prof__", False)
+            assert name not in getattr(obj, "__dict__", {})
 
     def test_slotted_stations_are_skipped(self):
         prof = Profiler()
@@ -429,14 +427,14 @@ class TestDiff:
         from repro.media.xpoint import XPointMedia
 
         def profile_reads(slow: bool):
-            original = XPointMedia._access_fast
+            original = XPointMedia.access
 
             def slow_access(self, media_addr, is_write, now):
                 _busy_ns(20_000)
                 return original(self, media_addr, is_write, now)
 
             if slow:
-                XPointMedia._access_fast = slow_access
+                XPointMedia.access = slow_access
             try:
                 prof = Profiler()
                 system = VansSystem()
@@ -448,7 +446,7 @@ class TestDiff:
                 prof.uninstrument_all()
                 return prof.to_dict()
             finally:
-                XPointMedia._access_fast = original
+                XPointMedia.access = original
 
         movers = diff_profiles(profile_reads(False), profile_reads(True))
         assert movers, "injected slowdown must be detected"

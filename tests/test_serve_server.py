@@ -9,6 +9,7 @@ down without leaving a worker process behind.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -28,6 +29,14 @@ class TestConcurrentSessions:
         ntenants = 8
         with running_daemon(workers=1, warm_cache=4, max_active=1,
                             max_queued=4) as daemon:
+            # Hold dispatch until every tenant's two jobs are queued:
+            # clients submit one after another, so a work-conserving
+            # scheduler could otherwise legally start t0's second job
+            # before t7's first has arrived.
+            gate = threading.Event()
+            free_slots = daemon.pool.free_slots
+            daemon.pool.free_slots = \
+                lambda: free_slots() if gate.is_set() else 0
             clients = [ServeClient("127.0.0.1", daemon.port,
                                    tenant=f"t{i}")
                        for i in range(ntenants)]
@@ -38,6 +47,15 @@ class TestConcurrentSessions:
                 submitted = [(c, [c.submit_stream("vans", STREAM_OPS),
                                   c.submit_stream("vans", STREAM_OPS)])
                              for c in clients]
+                deadline = time.monotonic() + 60
+                while daemon.scheduler.queued() < 2 * ntenants:
+                    assert time.monotonic() < deadline, "jobs never queued"
+                    time.sleep(0.01)
+                # a submit is what runs dispatch: open the gate, then
+                # queue one more (third) job for t0
+                gate.set()
+                submitted[0][1].append(
+                    clients[0].submit_stream("vans", STREAM_OPS[:1]))
                 replies = []
                 errors = []
 
@@ -55,15 +73,19 @@ class TestConcurrentSessions:
                 for t in threads:
                     t.join(timeout=120)
                 assert not errors
-                assert len(replies) == 2 * ntenants
+                assert len(replies) == 2 * ntenants + 1
                 assert all(r["type"] == "result" and r["status"] == "ok"
                            for r in replies)
-                # fairness: each tenant's first job ran before any
-                # tenant's second job
+                # fairness: round-robin over what was queued — every
+                # tenant's first job, then every second job in the same
+                # rotation, then t0's third
                 log = list(daemon.scheduler.dispatch_log)
-                assert set(log[:ntenants]) == \
-                    {f"t{i}" for i in range(ntenants)}
-                assert daemon.scheduler.stats["completed"] == 2 * ntenants
+                rotation = log[:ntenants]
+                assert sorted(rotation) == \
+                    sorted(f"t{i}" for i in range(ntenants))
+                assert log == rotation + rotation + ["t0"]
+                assert daemon.scheduler.stats["completed"] == \
+                    2 * ntenants + 1
             finally:
                 for c in clients:
                     c.close()
