@@ -3,7 +3,8 @@
 This module owns *how one experiment (or raw request stream) runs*:
 the id -> :class:`ExperimentSpec` registry, per-experiment seeding,
 instrumentation collection, flight/telemetry/fault session plumbing,
-and the worker-process entry points the crash-tolerant schedulers use.
+and :func:`_worker`, the job the runner's crash-tolerant scheduler
+runs in supervised child processes (:mod:`repro.common.supervise`).
 
 Two front ends drive it:
 
@@ -22,10 +23,8 @@ depends on who asked for it.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
-import traceback
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -54,9 +53,6 @@ from repro.telemetry import TelemetrySampler
 from repro.telemetry import session as telemetry_session
 
 DEFAULT_SEED = 42
-
-#: first-retry delay; attempt ``n`` waits ``BACKOFF_S * 2**(n-1)``
-BACKOFF_S = 0.5
 
 #: exit codes CLIs return for campaign outcomes
 EXIT_OK = 0
@@ -441,7 +437,7 @@ def run_stream(target: str, ops: Sequence[Mapping[str, object]],
 #:             faults_spec) — retries re-send the identical tuple, so
 #: re-executions preserve the seed and every session spec bit-for-bit.
 _Job = Tuple[str, str, int, Optional[Dict[str, object]],
-             Optional[Dict[str, object]], Optional[Dict[str, object]]]
+             Optional[Dict[str, object]], Optional[Mapping[str, object]]]
 
 
 def _worker(job: _Job) -> Tuple[str, List[ExperimentResult], float,
@@ -454,25 +450,6 @@ def _worker(job: _Job) -> Tuple[str, List[ExperimentResult], float,
                              faults=faults_spec)
     records = recorder.records if recorder is not None else []
     return exp_id, results, time.time() - start, records
-
-
-def _campaign_child(conn, job: _Job) -> None:
-    """Worker-process entry: run one job, ship outcome over the pipe.
-
-    The remote traceback is stringified here — exception objects from
-    experiment code don't always unpickle in the parent, and the
-    original stack is gone by then anyway (the lost-traceback bug this
-    replaces ``ProcessPoolExecutor`` to fix).
-    """
-    try:
-        conn.send(("ok", _worker(job)))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
 
 
 def _failure_result(exp_id: str, status: str, error: str,
@@ -488,14 +465,6 @@ def _failure_result(exp_id: str, status: str, error: str,
     result.error = error
     result.attempts = attempts
     return result
-
-
-def _mp_context():
-    """Prefer fork (cheap, inherits registry mutations made by callers
-    such as tests registering synthetic specs); fall back to the
-    platform default elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def campaign_exit_code(results: Sequence[ExperimentResult]) -> int:

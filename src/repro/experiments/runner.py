@@ -3,15 +3,16 @@
 ``python -m repro.experiments.runner [--paper] [--workers N] [ids...]``
 
 The execution core — the experiment registry, per-experiment seeding,
-instrumentation/telemetry/fault session plumbing, worker-process entry
-points — lives in :mod:`repro.experiments.exec` so the ``repro-serve``
-session daemon can drive the same code without pulling in this CLI.
+instrumentation/telemetry/fault session plumbing, the worker job —
+lives in :mod:`repro.experiments.exec` so the ``repro-serve`` session
+daemon can drive the same code without pulling in this CLI; worker
+processes come from :mod:`repro.common.supervise`.
 This module keeps the *campaign* concerns:
 
 * **scheduling** — serial or ``--workers N`` process fan-out,
   longest-first packing, bit-identical to serial either way;
 * **crash tolerance** — with ``--timeout``/``--retries`` each experiment
-  runs in a watchdogged worker process: a hang is terminated and
+  runs in a watchdogged worker process: a hang is stopped and
   recorded as ``status="timeout"``, a crash captures the remote
   traceback onto a ``status="failed"`` placeholder, bounded retries
   re-execute with the identical seed (exponential backoff), and specs
@@ -25,21 +26,19 @@ This module keeps the *campaign* concerns:
 from __future__ import annotations
 
 import argparse
-import multiprocessing.connection
 import sys
 import time
 import traceback
 from contextlib import nullcontext
-from dataclasses import dataclass
 from dataclasses import replace as dc_replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import UnknownExperimentError
+from repro.common.supervise import BACKOFF_S, run_jobs
 # Re-exported execution core: tests and tools import these names from
 # here, and some monkeypatch this module's attributes (REGISTRY is
 # mutated in place, so it must stay the *same* dict object as exec's).
 from repro.experiments.exec import (  # noqa: F401
-    BACKOFF_S,
     DEFAULT_SEED,
     EXIT_ALL_FAILED,
     EXIT_OK,
@@ -47,10 +46,8 @@ from repro.experiments.exec import (  # noqa: F401
     EXIT_USAGE,
     REGISTRY,
     ExperimentSpec,
-    _campaign_child,
     _failure_result,
     _Job,
-    _mp_context,
     _spec,
     _worker,
     campaign_exit_code,
@@ -60,7 +57,6 @@ from repro.experiments.exec import (  # noqa: F401
     validate_ids,
 )
 from repro.experiments.common import ExperimentResult, Scale
-from repro.faults.plan import FaultPlan
 from repro.flight import FlightRecord, breakdowns, save_chrome_trace
 
 
@@ -100,15 +96,6 @@ def run_all(scale: Scale = Scale.SMOKE, ids: Optional[List[str]] = None,
     return [r for exp_id in ids for r in by_id[exp_id][0]]
 
 
-@dataclass
-class _Attempt:
-    """One scheduled execution of an experiment id."""
-
-    exp_id: str
-    attempt: int          # 1-based
-    not_before: float     # wall-clock gate (exponential backoff)
-
-
 def _run_parallel(ids: List[str], scale: Scale, seed: int, workers: int,
                   flight_spec: Optional[Dict[str, object]] = None,
                   heartbeat: bool = False,
@@ -121,9 +108,10 @@ def _run_parallel(ids: List[str], scale: Scale, seed: int, workers: int,
                                        List[FlightRecord]]]:
     """Crash-tolerant process fan-out; longest-first for packing.
 
-    Each experiment runs in its own watchdogged process:
+    Each experiment runs in its own watchdogged process
+    (:func:`repro.common.supervise.run_jobs`):
 
-    * ``timeout_s`` — a worker past its deadline is terminated and the
+    * ``timeout_s`` — a worker past its deadline is stopped and the
       attempt recorded as a timeout;
     * ``retries`` — failed/timed-out attempts are re-executed with the
       identical job tuple (seed preserved) after exponential backoff
@@ -145,27 +133,33 @@ def _run_parallel(ids: List[str], scale: Scale, seed: int, workers: int,
                            List[FlightRecord]]] = {}
     wall_start = time.time()
     done_cost = 0.0
-    done = 0
-    ctx = _mp_context()
-    if isinstance(faults_spec, FaultPlan):
-        faults_spec = faults_spec.to_dict()
-
-    pending: List[_Attempt] = [_Attempt(i, 1, 0.0) for i in order]
-    #: receiving pipe end -> (process, attempt, start wall-clock)
-    running: Dict[Any, Tuple[Any, _Attempt, float]] = {}
-
-    def settle(exp_id: str, payload, elapsed: float, status: str,
-               error: str, attempt: int) -> None:
-        nonlocal done, done_cost
+    jobs: List[_Job] = [(exp_id, scale.value, seed, flight_spec,
+                         telemetry_spec, faults_spec) for exp_id in order]
+    for outcome in run_jobs(_worker, jobs, workers, timeout_s, retries,
+                            backoff_s):
+        exp_id = order[outcome.index]
+        if outcome.retry_in_s is not None:
+            if heartbeat:
+                print(f"[retry {exp_id}: attempt {outcome.attempt} "
+                      f"{outcome.status}; backing off "
+                      f"{outcome.retry_in_s:.1f}s]", file=sys.stderr,
+                      flush=True)
+            continue
+        status = outcome.status
         if status == "ok":
-            results, records = payload
+            _, results, elapsed, records = outcome.value
             for result in results:
-                result.attempts = attempt
+                result.attempts = outcome.attempt
         else:
-            results = [_failure_result(exp_id, status, error, attempt)]
-            records = []
+            error = outcome.error
+            if status == "timeout":
+                error = (f"experiment exceeded --timeout {timeout_s}s "
+                         f"(attempt {outcome.attempt}); worker terminated")
+            status = "quarantined" if retries > 0 else status
+            results = [_failure_result(exp_id, status, error,
+                                       outcome.attempt)]
+            elapsed, records = outcome.elapsed_s, []
         by_id[exp_id] = (results, elapsed, records)
-        done += 1
         done_cost += REGISTRY[exp_id].est_cost
         if heartbeat:
             wall = time.time() - wall_start
@@ -175,96 +169,9 @@ def _run_parallel(ids: List[str], scale: Scale, seed: int, workers: int,
             else:
                 eta_note = ""
             note = "" if status == "ok" else f" [{status.upper()}]"
-            print(f"[done {done}/{len(order)}] {exp_id}{note} "
+            print(f"[done {len(by_id)}/{len(order)}] {exp_id}{note} "
                   f"({elapsed:.1f}s) elapsed {wall:.1f}s{eta_note}",
                   file=sys.stderr, flush=True)
-
-    def fail(attempt: _Attempt, status: str, error: str,
-             elapsed: float) -> None:
-        if attempt.attempt <= retries:
-            delay = backoff_s * (2 ** (attempt.attempt - 1))
-            pending.append(_Attempt(attempt.exp_id, attempt.attempt + 1,
-                                    time.time() + delay))
-            if heartbeat:
-                print(f"[retry {attempt.exp_id}: attempt "
-                      f"{attempt.attempt} {status}; backing off "
-                      f"{delay:.1f}s]", file=sys.stderr, flush=True)
-            return
-        final = "quarantined" if retries > 0 else status
-        settle(attempt.exp_id, None, elapsed, final, error, attempt.attempt)
-
-    def launch(attempt: _Attempt) -> None:
-        job: _Job = (attempt.exp_id, scale.value, seed, flight_spec,
-                     telemetry_spec,
-                     dict(faults_spec) if faults_spec is not None else None)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_campaign_child, args=(child_conn, job),
-                           daemon=True)
-        proc.start()
-        child_conn.close()
-        running[parent_conn] = (proc, attempt, time.time())
-
-    while pending or running:
-        now = time.time()
-        # launch every runnable attempt while worker slots are free
-        while len(running) < max(1, workers):
-            ready = [a for a in pending if a.not_before <= now]
-            if not ready:
-                break
-            nxt = ready[0]
-            pending.remove(nxt)
-            launch(nxt)
-
-        if not running:
-            # everything pending is in a backoff window; sleep it out
-            gate = min(a.not_before for a in pending)
-            time.sleep(max(0.0, min(gate - time.time(), backoff_s)))
-            continue
-
-        # wait for a completion, the nearest watchdog deadline, or the
-        # nearest backoff gate — whichever comes first
-        wait_s: Optional[float] = None
-        if timeout_s is not None:
-            nearest = min(start + timeout_s
-                          for _, _, start in running.values())
-            wait_s = max(0.0, nearest - time.time())
-        if pending:
-            gate = min(a.not_before for a in pending)
-            gap = max(0.0, gate - time.time())
-            wait_s = gap if wait_s is None else min(wait_s, gap)
-        fired = multiprocessing.connection.wait(list(running), wait_s)
-
-        for conn in fired:
-            proc, attempt, started = running.pop(conn)
-            elapsed = time.time() - started
-            try:
-                kind, payload = conn.recv()
-            except (EOFError, OSError):
-                kind, payload = ("error",
-                                 f"worker died without reporting "
-                                 f"(exit code {proc.exitcode})")
-            conn.close()
-            proc.join()
-            if kind == "ok":
-                exp_id, results, wall, records = payload
-                settle(exp_id, (results, records), wall, "ok", "",
-                       attempt.attempt)
-            else:
-                fail(attempt, "failed", payload, elapsed)
-
-        if timeout_s is not None:
-            now = time.time()
-            expired = [conn for conn, (_, _, started) in running.items()
-                       if now - started >= timeout_s]
-            for conn in expired:
-                proc, attempt, started = running.pop(conn)
-                proc.terminate()
-                proc.join()
-                conn.close()
-                fail(attempt, "timeout",
-                     f"experiment exceeded --timeout {timeout_s}s "
-                     f"(attempt {attempt.attempt}); worker terminated",
-                     now - started)
     return by_id
 
 

@@ -7,11 +7,11 @@ whole campaign bit-for-bit.  Execution modes:
 
 * **serial** — in-process, the default;
 * **parallel** (``workers > 1``) — cases are batched into child
-  processes driven by the same crash-tolerant scheme as the experiment
-  runner (:mod:`repro.experiments.runner`): per-batch watchdog
-  deadline, exponential-backoff retries, quarantine after the retry
-  budget — a hung or crashed simulator build loses one batch, never
-  the campaign;
+  processes under :func:`repro.common.supervise.run_jobs`, the policy
+  the experiment runner uses too: per-batch watchdog deadline,
+  exponential-backoff retries, quarantine after the retry budget — a
+  hung or crashed simulator build loses one batch, never the
+  campaign;
 * **thin client** — every case is submitted as a stream job through a
   running ``repro-serve`` daemon, exercising the serve plane as
   fuzzing infrastructure.
@@ -26,14 +26,12 @@ progress frames flow through an attached
 
 from __future__ import annotations
 
-import time
 import traceback
-from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.rng import make_rng
-from repro.experiments.exec import (BACKOFF_S, EXIT_ALL_FAILED, EXIT_OK,
-                                    EXIT_PARTIAL, _mp_context)
+from repro.common.supervise import run_jobs
+from repro.experiments.exec import EXIT_ALL_FAILED, EXIT_OK, EXIT_PARTIAL
 from repro.instrument import InstrumentBus
 from repro.litmus.oracle import check, outcome_of, run_case
 from repro.litmus.program import DEFAULT_TARGETS, LitmusCase, random_case
@@ -72,10 +70,12 @@ def _case_for(campaign_seed: int, index: int, case_seed: int,
         cut_at_request=case.cut_at_request, seed=case.seed)
 
 
-def _run_one(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one case doc; JSON-safe per-case record."""
+def _run_one(doc: Dict[str, Any], client: Optional[Any] = None
+             ) -> Dict[str, Any]:
+    """Execute one case doc (through ``client`` when given); JSON-safe
+    per-case record."""
     case = LitmusCase.from_dict(doc)
-    result = run_case(case)
+    result = run_case(case, client=client)
     verdict = check(case, result)
     return {
         "case": doc,
@@ -87,100 +87,8 @@ def _run_one(doc: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _litmus_child(conn, batch: List[Dict[str, Any]]) -> None:
-    """Child-process entry: run one batch, ship records over the pipe."""
-    try:
-        conn.send(("ok", [_run_one(doc) for doc in batch]))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _run_parallel(batches: List[List[Dict[str, Any]]], workers: int,
-                  timeout_s: float, retries: int
-                  ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    """Watchdogged batch fan-out; returns (records, failures).
-
-    Mirrors the experiment runner's crash tolerance: a batch that hangs
-    past ``timeout_s`` is terminated, a crashed/hung batch is relaunched
-    with exponential backoff up to ``retries`` extra attempts, then
-    quarantined (its cases are reported failed, the campaign goes on).
-    """
-    import multiprocessing.connection
-
-    ctx = _mp_context()
-    pending = deque((index, 1, 0.0) for index in range(len(batches)))
-    running: Dict[Any, Tuple[int, int, Any, float]] = {}
-    records: List[Dict[str, Any]] = []
-    failures: List[Dict[str, Any]] = []
-
-    def _quarantine(index: int, attempt: int, error: str) -> None:
-        for doc in batches[index]:
-            failures.append({"case": doc, "error": error,
-                             "attempts": attempt})
-
-    while pending or running:
-        now = time.time()
-        launched = False
-        for _ in range(len(pending)):
-            if len(running) >= workers:
-                break
-            index, attempt, not_before = pending.popleft()
-            if now < not_before:
-                pending.append((index, attempt, not_before))
-                continue
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_litmus_child,
-                               args=(child, batches[index]), daemon=True)
-            proc.start()
-            child.close()
-            running[parent] = (index, attempt, proc,
-                               time.time() + timeout_s)
-            launched = True
-        if not running:
-            if pending and not launched:
-                time.sleep(min(BACKOFF_S,
-                               max(0.0, min(nb for _, _, nb in pending)
-                                   - time.time())) or 0.05)
-            continue
-        deadline = min(entry[3] for entry in running.values())
-        ready = multiprocessing.connection.wait(
-            list(running), timeout=max(0.0, deadline - time.time()))
-        now = time.time()
-        settled = list(ready)
-        settled.extend(conn for conn, entry in running.items()
-                       if conn not in ready and now >= entry[3])
-        for conn in settled:
-            index, attempt, proc, _dl = running.pop(conn)
-            outcome: Tuple[str, Any]
-            if conn in ready:
-                try:
-                    outcome = conn.recv()
-                except EOFError:
-                    outcome = ("error",
-                               f"worker died (exit {proc.exitcode})")
-            else:
-                outcome = ("error", f"batch timed out after {timeout_s}s")
-                proc.terminate()
-            conn.close()
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-            status, payload = outcome
-            if status == "ok":
-                records.extend(payload)
-            elif attempt <= retries:
-                backoff = BACKOFF_S * 2 ** (attempt - 1)
-                pending.append((index, attempt + 1,
-                                time.time() + backoff))
-            else:
-                _quarantine(index, attempt, str(payload))
-    return records, failures
+def _run_batch(batch: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    return [_run_one(doc) for doc in batch]
 
 
 def run_campaign(seed: int, cases: int,
@@ -214,41 +122,29 @@ def run_campaign(seed: int, cases: int,
         progress.attach(_BusView(bus))
         progress.phase("litmus-campaign")
 
-    records: List[Dict[str, Any]]
-    failures: List[Dict[str, Any]]
+    records: List[Dict[str, Any]] = []
+    failures: List[Dict[str, Any]] = []
     if workers > 1 and client is None:
         batches = [case_docs[start:start + _BATCH]
                    for start in range(0, len(case_docs), _BATCH)]
-        records, failures = _run_parallel(batches, workers,
-                                          timeout_s, retries)
+        for outcome in run_jobs(_run_batch, batches, workers, timeout_s,
+                                retries):
+            if outcome.status == "ok":
+                records.extend(outcome.value)
+            elif outcome.retry_in_s is None:        # quarantined
+                failures.extend({"case": doc, "error": outcome.error,
+                                 "attempts": outcome.attempt}
+                                for doc in batches[outcome.index])
     else:
-        records, failures = [], []
         sim_total = 0
         for doc in case_docs:
-            if client is not None:
-                case = LitmusCase.from_dict(doc)
-                try:
-                    result = run_case(case, client=client)
-                except Exception:
-                    failures.append({"case": doc,
-                                     "error": traceback.format_exc(),
-                                     "attempts": 1})
-                    continue
-                verdict = check(case, result)
-                record = {"case": doc, "ok": verdict.ok,
-                          "violations": [dict(v)
-                                         for v in verdict.violations],
-                          "outcome": dict(verdict.outcome),
-                          "contract": verdict.contract,
-                          "sim_end_ps": int(result.get("sim_end_ps", 0))}
-            else:
-                try:
-                    record = _run_one(doc)
-                except Exception:
-                    failures.append({"case": doc,
-                                     "error": traceback.format_exc(),
-                                     "attempts": 1})
-                    continue
+            try:
+                record = _run_one(doc, client=client)
+            except Exception:
+                failures.append({"case": doc,
+                                 "error": traceback.format_exc(),
+                                 "attempts": 1})
+                continue
             records.append(record)
             sim_total += record["sim_end_ps"]
             if progress is not None:

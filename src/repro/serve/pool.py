@@ -1,13 +1,14 @@
 """Persistent watchdogged worker pool for the serve daemon.
 
 Unlike the batch runner's process-per-experiment scheduler
-(:func:`repro.experiments.runner._run_parallel`), serving wants workers
-that *stay up*: each worker process enables the target registry's warm
+(:func:`repro.common.supervise.run_jobs`), serving wants workers that
+*stay up*: each worker process enables the target registry's warm
 cache at startup, so consecutive jobs against the same target reuse a
 built system (``build → acquire → run → reset → release``) instead of
 paying construction again.
 
-Each worker is one OS process plus one parent-side watcher thread:
+Each worker is one :class:`repro.common.supervise.Child` plus one
+parent-side watcher thread:
 
 * jobs travel over a private duplex pipe; results come back as
   ``("ok", payload)`` / ``("reject", {code, error})`` (a
@@ -18,8 +19,9 @@ Each worker is one OS process plus one parent-side watcher thread:
   :class:`~repro.progress.ProgressReporter` inside the worker emits
   them); the watcher hands each frame to the submitter's
   ``on_progress`` callback and keeps waiting for the terminal outcome;
-* the watcher enforces ``job_timeout_s`` — a wedged worker is
-  terminated and respawned, and the job settles as a timeout;
+* the watcher enforces ``job_timeout_s`` — a wedged worker is stopped
+  (SIGTERM, then SIGKILL after a grace) and respawned, and the job
+  settles as a timeout;
 * a worker that dies mid-job (OOM-kill, segfault, ``os._exit``) is
   detected, respawned, and the job settles as an error — the pool's
   capacity never degrades.
@@ -38,13 +40,12 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
+from repro.common.supervise import (Child, ChildDied, ChildError,
+                                    ChildFailure, ChildTimeout)
 from repro.engine.stats import Histogram
 
 #: outcome tuples handed to completion callbacks
 Outcome = Tuple[str, Any]
-
-#: how often watchers re-check liveness/deadlines while polling
-_POLL_S = 0.05
 
 
 def _make_reporter(job: Dict[str, Any],
@@ -131,10 +132,7 @@ def _worker_main(conn, warm_cache_limit: int) -> None:
     while True:
         try:
             job = conn.recv()
-        except (EOFError, OSError):
-            return
-        if job is None:                # shutdown sentinel
-            conn.close()
+        except (EOFError, OSError):    # the pool closed the pipe: stop
             return
         try:
             payload = _execute_job(job, emit_progress)
@@ -148,21 +146,21 @@ def _worker_main(conn, warm_cache_limit: int) -> None:
                                   "error": str(exc)})
         except BaseException:
             message = ("error", traceback.format_exc())
-        try:
-            conn.send(message)
-        except (OSError, BrokenPipeError):
-            return
+        conn.send(message)             # a dead parent ends the worker
 
 
 class _Worker:
-    """One pooled process and the parent-side thread that watches it."""
+    """One pooled process and the parent-side thread that watches it.
+
+    Until the pool closes, only the watcher thread sends to, receives
+    from, or replaces ``child``; from then on only
+    :meth:`WorkerPool.shutdown` stops it.
+    """
 
     def __init__(self, pool: "WorkerPool", index: int) -> None:
         self.pool = pool
         self.index = index
         self.jobs: "queue.Queue" = queue.Queue()
-        self.proc = None
-        self.conn = None
         #: True while a job is executing (read under the pool lock for
         #: the metrics snapshot; written only by this watcher thread)
         self.busy = False
@@ -177,24 +175,14 @@ class _Worker:
         self.thread.start()
 
     def _spawn(self) -> None:
-        ctx = self.pool.ctx
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.pool.warm_cache_limit), daemon=True)
-        self.proc.start()
-        child_conn.close()
-        self.conn = parent_conn
+        self.child = Child(_worker_main, self.pool.warm_cache_limit,
+                           duplex=True)
         self.pool.stats["spawned"] += 1
 
     def _respawn(self) -> None:
-        try:
-            if self.proc.is_alive():
-                self.proc.terminate()
-            self.proc.join(timeout=5)
-            self.conn.close()
-        except (OSError, ValueError):
-            pass
+        if self.pool._closed:          # shutdown stops the last child
+            return
+        self.child.stop()
         self._spawn()
         self.pool.stats["respawned"] += 1
         # the fresh process starts with a cold warm cache by design
@@ -205,7 +193,6 @@ class _Worker:
         while True:
             item = self.jobs.get()
             if item is None:
-                self._stop_process()
                 return
             job, callback, timeout_s, on_progress = item
             self.busy = True
@@ -220,66 +207,48 @@ class _Worker:
                  on_progress: Optional[Callable[[Dict[str, Any]], None]]
                  ) -> Outcome:
         try:
-            self.conn.send(job)
-        except (OSError, BrokenPipeError):
+            self.child.send(job)
+        except ChildFailure:
+            # the idle worker had exited; start over on a fresh one
             self._respawn()
             try:
-                self.conn.send(job)
-            except (OSError, BrokenPipeError):
+                self.child.send(job)
+            except ChildFailure:
                 return ("error", "worker pipe unusable after respawn")
-        deadline = (time.time() + timeout_s) if timeout_s else None
+        deadline = (time.monotonic() + timeout_s) if timeout_s else None
         while True:
             try:
-                if self.conn.poll(_POLL_S):
-                    message = self.conn.recv()
-                    if message and message[0] == "progress":
-                        # non-terminal frame: forward and keep waiting
-                        # (the watchdog deadline is the job's wall
-                        # budget — progress does not extend it)
-                        if on_progress is not None:
-                            try:
-                                on_progress(message[1])
-                            except Exception:
-                                pass
-                        continue
-                    if message and message[0] == "ok":
-                        payload = message[1]
-                        if isinstance(payload, dict) and \
-                                "warm_cache" in payload:
-                            self.warm_cache = dict(payload["warm_cache"])
-                        if isinstance(payload, dict) and \
-                                "kernel" in payload:
-                            self.kernel = dict(payload["kernel"])
-                    return message
-            except (EOFError, OSError):
-                exitcode = self.proc.exitcode
+                # the watchdog deadline is the job's wall budget —
+                # progress frames do not extend it
+                message = self.child.recv(
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
+            except ChildError as exc:
+                return ("error", str(exc))
+            except ChildDied as exc:
                 self._respawn()
                 return ("error",
-                        f"worker died mid-job (exit code {exitcode})")
-            if not self.proc.is_alive():
-                exitcode = self.proc.exitcode
-                self._respawn()
-                return ("error",
-                        f"worker died mid-job (exit code {exitcode})")
-            if deadline is not None and time.time() >= deadline:
+                        f"worker died mid-job (exit code {exc.exitcode})")
+            except ChildTimeout:
                 self._respawn()
                 return ("timeout",
                         f"job exceeded {timeout_s}s watchdog; "
                         f"worker terminated and respawned")
-
-    def _stop_process(self) -> None:
-        try:
-            self.conn.send(None)
-        except (OSError, BrokenPipeError):
-            pass
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=5)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+            if message[0] == "progress":
+                # non-terminal frame: forward and keep waiting
+                if on_progress is not None:
+                    try:
+                        on_progress(message[1])
+                    except Exception:
+                        pass
+                continue
+            if message[0] == "ok":
+                payload = message[1]
+                if isinstance(payload, dict) and "warm_cache" in payload:
+                    self.warm_cache = dict(payload["warm_cache"])
+                if isinstance(payload, dict) and "kernel" in payload:
+                    self.kernel = dict(payload["kernel"])
+            return message
 
 
 class WorkerPool:
@@ -287,8 +256,6 @@ class WorkerPool:
 
     def __init__(self, workers: int = 2, warm_cache: int = 8,
                  job_timeout_s: Optional[float] = None) -> None:
-        from repro.experiments.exec import _mp_context
-        self.ctx = _mp_context()
         self.warm_cache_limit = warm_cache
         self.job_timeout_s = job_timeout_s
         self.stats: Dict[str, int] = {
@@ -351,7 +318,7 @@ class WorkerPool:
 
     def processes_alive(self) -> int:
         """Live worker processes (0 after a clean shutdown)."""
-        return sum(1 for w in self._workers if w.proc.is_alive())
+        return sum(1 for w in self._workers if w.child.is_alive())
 
     def snapshot(self) -> Dict[str, Any]:
         """One internally consistent view of the pool.
@@ -369,7 +336,7 @@ class WorkerPool:
             snap["idle"] = len(self._idle)
             snap["busy"] = sum(1 for w in self._workers if w.busy)
             snap["alive"] = sum(1 for w in self._workers
-                                if w.proc.is_alive())
+                                if w.child.is_alive())
             snap["uptime_s"] = time.monotonic() - self._started
             snap["job_ms"] = self._job_ms.as_stats()
             warm: Dict[str, int] = {}
@@ -396,8 +363,8 @@ class WorkerPool:
                 kernel["batch_hist"] = hist
             snap["kernel"] = kernel
             snap["worker_states"] = [
-                {"index": w.index, "pid": w.proc.pid,
-                 "alive": w.proc.is_alive(), "busy": w.busy,
+                {"index": w.index, "pid": w.child.pid,
+                 "alive": w.child.is_alive(), "busy": w.busy,
                  "jobs_done": w.jobs_done}
                 for w in self._workers]
         return snap
@@ -416,10 +383,10 @@ class WorkerPool:
             self._idle.clear()
         for worker in self._workers:
             worker.jobs.put(None)
-        deadline = time.time() + timeout_s
+        deadline = time.monotonic() + timeout_s
         for worker in self._workers:
-            worker.thread.join(timeout=max(0.1, deadline - time.time()))
+            worker.thread.join(timeout=max(0.1, deadline - time.monotonic()))
+        # a watcher still running holds a job wedged past the deadline;
+        # stopping its child wakes it with ChildDied
         for worker in self._workers:
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=5)
+            worker.child.stop()

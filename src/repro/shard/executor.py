@@ -16,22 +16,23 @@ construction (per-channel WPQ/RPQ/bus/DIMM state, interaction only in
 ``fence``).  The CI ``shard-identity`` job checks the resulting
 documents byte-for-byte anyway.
 
-Forked mode reuses the campaign conventions from
-:mod:`repro.experiments.exec`: fork-preferring start method, pipe
-transport with stringified remote tracebacks, a poll-based watchdog,
-and deterministic retries with exponential backoff.
+Forked mode runs each shard in a :class:`repro.common.supervise.Child`
+(fork-preferring start method, pipe transport with stringified remote
+tracebacks, a deadline on every barrier message, no process left
+behind on any exit path) and retries the deterministic job with the
+supervisor's exponential backoff.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import traceback
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import registry
 from repro.common.errors import ConfigError, ReproError
-from repro.experiments.exec import BACKOFF_S, _mp_context
+from repro.common.supervise import (BACKOFF_S, Child, ChildFailure,
+                                    ChildTimeout)
 from repro.faults.injector import current as current_faults
 from repro.flight.recorder import current as current_flight
 from repro.shard import default_shards
@@ -383,65 +384,46 @@ def execute_inprocess(prepared: _Prepared) -> Tuple[int, List[Dict]]:
 
 def _shard_child(conn, spec: Dict[str, object]) -> None:
     """Worker entry: build the shard's system, follow the barrier
-    protocol, ship the payload.  Tracebacks travel as strings (the
-    campaign-child convention)."""
+    protocol, ship the payload."""
+    system = registry.build(spec["target"], **spec["overrides"])
+    state = _ShardState(system, spec["owned"], spec["epochs"],
+                        spec["level"], spec["engine"], spec["interval_ps"])
+    for e, is_fenced in enumerate(spec["fenced"]):
+        _, base = conn.recv()
+        conn.send(("max", state.execute_epoch(e, base)))
+        if is_fenced:
+            _, gmax = conn.recv()
+            conn.send(("fenced", state.fence(gmax)))
+    conn.send(("result", state.payload()))
+
+
+def _barrier(children: Sequence[Child], message, timeout_s: float
+             ) -> List:
+    """One barrier round: send ``message`` (unless ``None``) to every
+    shard, then gather each shard's reply value in shard order."""
     try:
-        system = registry.build(spec["target"], **spec["overrides"])
-        state = _ShardState(system, spec["owned"], spec["epochs"],
-                            spec["level"], spec["engine"],
-                            spec["interval_ps"])
-        for e, is_fenced in enumerate(spec["fenced"]):
-            _, base = conn.recv()
-            conn.send(("max", state.execute_epoch(e, base)))
-            if is_fenced:
-                _, gmax = conn.recv()
-                conn.send(("fenced", state.fence(gmax)))
-        conn.send(("result", state.payload()))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _recv(conn, proc, shard: int, timeout_s: float):
-    if not conn.poll(timeout_s):
+        if message is not None:
+            for shard, child in enumerate(children):
+                child.send(message)
+        values = []
+        for shard, child in enumerate(children):
+            values.append(child.recv(timeout_s)[1])
+        return values
+    except ChildTimeout:
         raise ShardTimeoutError(
-            f"shard {shard} (pid {proc.pid}) missed the {timeout_s:.0f}s "
-            f"barrier deadline")
-    try:
-        tag, value = conn.recv()
-    except EOFError:
-        raise ShardError(f"shard {shard} worker died "
-                         f"(exit code {proc.exitcode})")
-    if tag == "error":
-        raise ShardError(f"shard {shard} worker failed:\n{value}")
-    return value
-
-
-def _send(conn, proc, shard: int, timeout_s: float, message) -> None:
-    """Send one barrier message.  A worker that already exited has left
-    its error report (or EOF) in the pipe: raise that instead of the
-    broken pipe."""
-    try:
-        conn.send(message)
-    except OSError:
-        _recv(conn, proc, shard, timeout_s)
-        raise ShardError(f"shard {shard} worker closed its pipe "
-                         f"(exit code {proc.exitcode})")
+            f"shard {shard} (pid {children[shard].pid}) missed the "
+            f"{timeout_s:.0f}s barrier deadline") from None
+    except ChildFailure as exc:       # ChildError: the remote traceback
+        raise ShardError(f"shard {shard} worker failed:\n{exc}") from None
 
 
 def execute_forked(prepared: _Prepared,
                    timeout_s: float = DEFAULT_TIMEOUT_S
                    ) -> Tuple[int, List[Dict]]:
     """Run each shard in its own forked worker process."""
-    ctx = _mp_context()
-    workers = []
+    children: List[Child] = []
     try:
         for shard in range(prepared.plan.effective):
-            parent_conn, child_conn = ctx.Pipe()
             spec = {
                 "target": prepared.target,
                 "overrides": prepared.overrides,
@@ -452,34 +434,18 @@ def execute_forked(prepared: _Prepared,
                 "engine": prepared.engine,
                 "interval_ps": prepared.interval_ps,
             }
-            proc = ctx.Process(target=_shard_child,
-                               args=(child_conn, spec), daemon=True)
-            proc.start()
-            child_conn.close()
-            workers.append((proc, parent_conn, shard))
+            children.append(Child(_shard_child, spec, duplex=True))
         base = 0
         for is_fenced in prepared.fenced:
-            for proc, conn, shard in workers:
-                _send(conn, proc, shard, timeout_s, ("epoch", base))
-            maxes = [_recv(conn, proc, shard, timeout_s)
-                     for proc, conn, shard in workers]
-            gmax = max([base] + maxes)
+            base = max([base] + _barrier(children, ("epoch", base),
+                                         timeout_s))
             if is_fenced:
-                for proc, conn, shard in workers:
-                    _send(conn, proc, shard, timeout_s, ("fence", gmax))
-                base = max([gmax] + [_recv(conn, proc, shard, timeout_s)
-                                     for proc, conn, shard in workers])
-            else:
-                base = gmax
-        payloads = [_recv(conn, proc, shard, timeout_s)
-                    for proc, conn, shard in workers]
-        return base, payloads
+                base = max([base] + _barrier(children, ("fence", base),
+                                             timeout_s))
+        return base, _barrier(children, None, timeout_s)
     finally:
-        for proc, conn, _ in workers:
-            conn.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
+        for child in children:
+            child.stop()
 
 
 def merge_payloads(prepared: _Prepared, sim_end_ps: int,

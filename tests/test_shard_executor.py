@@ -8,8 +8,6 @@ engine resolution, the CLI-facing document contract, and the
 """
 
 import json
-import multiprocessing
-import types
 
 import pytest
 
@@ -20,7 +18,6 @@ from repro.shard.executor import (
     DEFAULT_INTERVAL_PS,
     SHARD_SCHEMA,
     ShardError,
-    _send,
     execute_forked,
     execute_inprocess,
     identity_view,
@@ -148,19 +145,6 @@ def test_worker_failure_surfaces_with_traceback():
     prepared.overrides["wpq_entries"] = "garbage"  # poison the rebuild
     with pytest.raises(ShardError, match="worker failed"):
         execute_forked(prepared, timeout_s=30.0)
-
-
-def test_send_to_exited_worker_raises_its_report():
-    # A worker that fails before the first barrier reports and closes
-    # its end; the coordinator's next send hits a broken pipe and must
-    # surface the report instead.
-    parent_conn, child_conn = multiprocessing.Pipe()
-    child_conn.send(("error", "Traceback: boom"))
-    child_conn.close()
-    worker = types.SimpleNamespace(pid=0, exitcode=0)
-    with pytest.raises(ShardError, match="worker failed:\nTraceback: boom"):
-        _send(parent_conn, worker, 0, 1.0, ("epoch", 0))
-    parent_conn.close()
 
 
 # -- run_stream integration -------------------------------------------------
