@@ -45,7 +45,11 @@ L3_CONFIG = CacheConfig("L3", 32 * MIB, 16, 42)
 
 
 class Cache:
-    """One write-back, write-allocate, LRU set-associative cache."""
+    """One write-back, write-allocate, LRU set-associative cache.
+
+    Lines are 64 B: a byte address's tag is its line number ``addr >> 6``
+    and its set is ``tag & (nsets - 1)``.
+    """
 
     def __init__(self, config: CacheConfig, stats: Optional[StatsRegistry] = None):
         self.config = config
@@ -54,58 +58,55 @@ class Cache:
             OrderedDict() for _ in range(config.nsets)
         ]
         self._mask = config.nsets - 1
+        self._ways = config.ways
         self._hits = self.stats.counter(f"{config.name}.hits")
         self._misses = self.stats.counter(f"{config.name}.misses")
         self._writebacks = self.stats.counter(f"{config.name}.writebacks")
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line = addr // CACHE_LINE
-        return line & self._mask, line
-
     def lookup(self, addr: int, is_write: bool) -> bool:
         """Access the cache; returns hit?.  Hits update LRU and dirty."""
-        index, tag = self._locate(addr)
-        cset = self._sets[index]
+        tag = addr >> 6
+        cset = self._sets[tag & self._mask]
         if tag in cset:
             cset.move_to_end(tag)
             if is_write:
                 cset[tag] = True
-            self._hits.add()
+            self._hits.value += 1
             return True
-        self._misses.add()
+        self._misses.value += 1
         return False
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Install a line; returns the victim's address if a dirty line
         was evicted (the caller writes it back), else None."""
-        index, tag = self._locate(addr)
-        cset = self._sets[index]
+        tag = addr >> 6
+        cset = self._sets[tag & self._mask]
         victim_addr = None
-        if len(cset) >= self.config.ways:
+        if len(cset) >= self._ways:
             victim_tag, victim_dirty = cset.popitem(last=False)
             if victim_dirty:
-                self._writebacks.add()
-                victim_addr = victim_tag * CACHE_LINE
+                self._writebacks.value += 1
+                victim_addr = victim_tag << 6
         cset[tag] = dirty
         return victim_addr
 
     def contains(self, addr: int) -> bool:
-        index, tag = self._locate(addr)
-        return tag in self._sets[index]
+        tag = addr >> 6
+        return tag in self._sets[tag & self._mask]
 
     def mark_dirty(self, addr: int) -> bool:
         """Mark a resident line dirty (a dirty write-back from the level
         above landed on it); returns False if the line is absent."""
-        index, tag = self._locate(addr)
-        cset = self._sets[index]
+        tag = addr >> 6
+        cset = self._sets[tag & self._mask]
         if tag not in cset:
             return False
         cset[tag] = True
         return True
 
     def invalidate(self, addr: int) -> None:
-        index, tag = self._locate(addr)
-        self._sets[index].pop(tag, None)
+        tag = addr >> 6
+        self._sets[tag & self._mask].pop(tag, None)
 
     @property
     def hits(self) -> int:
@@ -149,44 +150,46 @@ class CacheHierarchy:
         self.l1 = Cache(l1, self.stats)
         self.l2 = Cache(l2, self.stats)
         self.l3 = Cache(l3, self.stats)
+        # on-chip cycles of a hit in L1 / L2 / L3 (or of a full miss)
+        self._l1_cycles = l1.latency_cycles
+        self._l2_cycles = self._l1_cycles + l2.latency_cycles
+        self._l3_cycles = self._l2_cycles + l3.latency_cycles
 
     def access(self, addr: int, is_write: bool) -> Tuple[str, int, List[int]]:
         """Returns (deepest level that hit or "mem", on-chip cycles,
-        dirty victim addresses to write back to memory)."""
-        victims: List[int] = []
-        if self.l1.lookup(addr, is_write):
-            return "l1", self.l1.config.latency_cycles, victims
-        cycles = self.l1.config.latency_cycles
-        if self.l2.lookup(addr, False):
-            cycles += self.l2.config.latency_cycles
-            self._fill_upper(addr, is_write, victims, levels=("l1",))
-            return "l2", cycles, victims
-        cycles += self.l2.config.latency_cycles
-        if self.l3.lookup(addr, False):
-            cycles += self.l3.config.latency_cycles
-            self._fill_upper(addr, is_write, victims, levels=("l1", "l2"))
-            return "l3", cycles, victims
-        cycles += self.l3.config.latency_cycles
-        self._fill_upper(addr, is_write, victims, levels=("l1", "l2", "l3"))
-        return "mem", cycles, victims
+        dirty victim addresses to write back to memory).
 
-    def _fill_upper(self, addr: int, is_write: bool, victims: List[int],
-                    levels) -> None:
-        """Install ``addr`` in the named levels; dirty victims demote
-        their dirty state to the next level down, or become memory
-        write-backs when no lower level holds the line."""
-        below = {"l1": ("l2", "l3"), "l2": ("l3",), "l3": ()}
-        for name in levels:
-            cache: Cache = getattr(self, name)
-            victim = cache.fill(addr, dirty=(is_write and name == "l1"))
-            if victim is None:
-                continue
-            for lower_name in below[name]:
-                lower: Cache = getattr(self, lower_name)
-                if lower.mark_dirty(victim):
-                    break
-            else:
+        The line is installed in every level above the one that hit.  A
+        dirty victim hands its dirty state to the nearest lower level
+        still holding the line, or becomes a memory write-back when none
+        does; only L1 takes the write's dirty bit.
+        """
+        l1 = self.l1
+        if l1.lookup(addr, is_write):
+            return "l1", self._l1_cycles, []
+        victims: List[int] = []
+        l2 = self.l2
+        l3 = self.l3
+        if l2.lookup(addr, False):
+            victim = l1.fill(addr, is_write)
+            if victim is not None and not (l2.mark_dirty(victim)
+                                           or l3.mark_dirty(victim)):
                 victims.append(victim)
+            return "l2", self._l2_cycles, victims
+        l3_hit = l3.lookup(addr, False)
+        victim = l1.fill(addr, is_write)
+        if victim is not None and not (l2.mark_dirty(victim)
+                                       or l3.mark_dirty(victim)):
+            victims.append(victim)
+        victim = l2.fill(addr)
+        if victim is not None and not l3.mark_dirty(victim):
+            victims.append(victim)
+        if l3_hit:
+            return "l3", self._l3_cycles, victims
+        victim = l3.fill(addr)
+        if victim is not None:
+            victims.append(victim)
+        return "mem", self._l3_cycles, victims
 
     @property
     def llc_misses(self) -> int:

@@ -87,6 +87,10 @@ class TraceCore:
         # the same record stream as the memory-side spans
         self.flight = getattr(backend, "flight", NULL_FLIGHT)
 
+        # CoreConfig.cycle_ps divides on every read; the core reads it
+        # on each LLC miss and write-back
+        self._cycle_ps = self.config.cycle_ps
+
         self.cycles = 0.0
         self.instructions = 0
         self.phase_stats = MemOpStats()
@@ -97,7 +101,7 @@ class TraceCore:
     # ------------------------------------------------------------------
 
     def _now_ps(self) -> int:
-        return int(self.cycles * self.config.cycle_ps)
+        return int(self.cycles * self._cycle_ps)
 
     def _mem_read_cycles(self, paddr: int) -> float:
         now = self._now_ps()
@@ -110,7 +114,7 @@ class TraceCore:
         if fl.enabled:
             fl.span("cpu.llc_miss", now, done, phase="window")
             fl.end(done)
-        return (done - now) / self.config.cycle_ps
+        return (done - now) / self._cycle_ps
 
     def _cached_access(self, paddr: int, is_write: bool):
         """Cache access; LLC misses go to the backend.  Returns
@@ -166,7 +170,7 @@ class TraceCore:
                     # under backpressure
                     now = self._now_ps()
                     accept = self.backend.write(op.vaddr, now)
-                    self.cycles += (accept - now) / cfg.cycle_ps
+                    self.cycles += (accept - now) / self._cycle_ps
             else:
                 lat, llc_miss = self._cached_access(op.vaddr, False)
                 if llc_miss and not op.dependent:

@@ -46,7 +46,11 @@ STLB_CONFIG = TlbConfig("STLB", 1536, 12, 9)
 
 
 class Tlb:
-    """One set-associative TLB with LRU replacement."""
+    """One set-associative TLB with LRU replacement.
+
+    Pages are 4 KiB: an address's VPN is ``vaddr >> 12`` and its set is
+    ``vpn & (nsets - 1)``.
+    """
 
     def __init__(self, config: TlbConfig, stats: Optional[StatsRegistry] = None):
         self.config = config
@@ -54,29 +58,28 @@ class Tlb:
         self._sets: List["OrderedDict[int, int]"] = [
             OrderedDict() for _ in range(config.nsets)
         ]
+        self._mask = config.nsets - 1
+        self._ways = config.ways
         self._hits = self.stats.counter(f"{config.name}.hits")
         self._misses = self.stats.counter(f"{config.name}.misses")
 
-    def _index(self, vpn: int) -> int:
-        return vpn % self.config.nsets
-
     def lookup(self, vaddr: int) -> bool:
-        vpn = vaddr // PAGE_SIZE
-        tset = self._sets[self._index(vpn)]
+        vpn = vaddr >> 12
+        tset = self._sets[vpn & self._mask]
         if vpn in tset:
             tset.move_to_end(vpn)
-            self._hits.add()
+            self._hits.value += 1
             return True
-        self._misses.add()
+        self._misses.value += 1
         return False
 
     def install(self, vaddr: int, pfn: int = 0) -> None:
-        vpn = vaddr // PAGE_SIZE
-        tset = self._sets[self._index(vpn)]
+        vpn = vaddr >> 12
+        tset = self._sets[vpn & self._mask]
         if vpn in tset:
             tset.move_to_end(vpn)
             return
-        if len(tset) >= self.config.ways:
+        if len(tset) >= self._ways:
             tset.popitem(last=False)
         tset[vpn] = pfn
 
@@ -110,18 +113,19 @@ class TlbHierarchy:
         self.dtlb = Tlb(L1_DTLB_CONFIG, self.stats)
         self.stlb = Tlb(STLB_CONFIG, self.stats)
         self._walks = self.stats.counter("tlb.walks")
+        # cycles of a DTLB hit, and of an STLB lookup after a DTLB miss
+        self._dtlb_cycles = L1_DTLB_CONFIG.latency_cycles
+        self._stlb_cycles = self._dtlb_cycles + STLB_CONFIG.latency_cycles
 
     def translate(self, vaddr: int):
         """Returns (needs_walk, cycles, walk_read_addrs)."""
         if self.dtlb.lookup(vaddr):
-            return False, self.dtlb.config.latency_cycles, []
-        cycles = self.dtlb.config.latency_cycles
+            return False, self._dtlb_cycles, []
         if self.stlb.lookup(vaddr):
             self.dtlb.install(vaddr)
-            return False, cycles + self.stlb.config.latency_cycles, []
-        cycles += self.stlb.config.latency_cycles
-        self._walks.add()
-        return True, cycles, self.walk_addresses(vaddr)
+            return False, self._stlb_cycles, []
+        self._walks.value += 1
+        return True, self._stlb_cycles, self.walk_addresses(vaddr)
 
     def walk_addresses(self, vaddr: int) -> List[int]:
         """Physical addresses of the 4 page-table entries for ``vaddr``.

@@ -30,7 +30,16 @@ class _BankState:
 
 
 class DramController:
-    """One channel of DDR4: banks, timing state, and command generation."""
+    """One channel of DDR4: banks, timing state, and command generation.
+
+    :meth:`access` is the per-access hot path.  Everything that does not
+    depend on the access is fixed at construction: the picosecond value
+    of every timing constraint and the mapping's bank/row shift and mask.
+    Per access it decodes the address with two shifts and a mask, enters
+    :meth:`_do_refresh` only once a refresh is due, bumps counters in
+    place and builds :class:`Command` objects only when
+    ``record_commands`` is set.
+    """
 
     def __init__(
         self,
@@ -63,6 +72,24 @@ class DramController:
         self._writes = self.stats.counter("dram.writes")
         self._refreshes = self.stats.counter("dram.refreshes")
 
+        t = timing
+        self._trcd_ps = t.ps(t.trcd)
+        self._trp_ps = t.ps(t.trp)
+        self._tras_ps = t.ps(t.tras)
+        self._trc_ps = t.ps(t.trc)
+        self._trrd_ps = t.ps(t.trrd)
+        self._tfaw_ps = t.ps(t.tfaw)
+        self._tccd_ps = t.ps(t.tccd)
+        self._twr_ps = t.ps(t.twr)
+        self._twtr_ps = t.ps(t.twtr)
+        self._trtp_ps = t.ps(t.trtp)
+        self._rd_data_ps = t.ps(t.cl) + t.ps(t.burst_cycles)   # RD -> data end
+        self._wr_data_ps = t.ps(t.cwl) + t.ps(t.burst_cycles)  # WR -> data end
+        self._bank_shift = self.mapping.bank_shift
+        self._bank_mask = self.mapping.bank_mask
+        self._row_shift = self.mapping.row_shift
+        self._closed = row_policy == "closed"
+
     # -- helpers -------------------------------------------------------
 
     def _emit(self, time_ps: int, kind: CmdType, bank: int, row: int = -1,
@@ -90,33 +117,6 @@ class DramController:
                 bank.act_ready_ps = max(bank.act_ready_ps, end)
             self._next_refresh_due += t.ps(t.trefi)
 
-    def _open_row(self, bank_id: int, row: int, earliest: int) -> int:
-        """Ensure ``row`` is open in ``bank_id``; returns CAS-ready time."""
-        t = self.timing
-        bank = self._banks[bank_id]
-        if bank.open_row == row:
-            self._hits.add()
-            return max(earliest, bank.act_ps + t.ps(t.trcd))
-        self._misses.add()
-        when = earliest
-        if bank.open_row is not None:
-            pre_time = max(when, bank.pre_ready_ps)
-            self._emit(pre_time, CmdType.PRE, bank_id)
-            bank.open_row = None
-            bank.act_ready_ps = max(bank.act_ready_ps, pre_time + t.ps(t.trp))
-        act_time = max(when, bank.act_ready_ps, self._blocked_until_ps,
-                       self._last_act_ps + t.ps(t.trrd))
-        if len(self._act_history) == 4:
-            act_time = max(act_time, self._act_history[0] + t.ps(t.tfaw))
-        self._emit(act_time, CmdType.ACT, bank_id, row=row)
-        bank.open_row = row
-        bank.act_ps = act_time
-        bank.pre_ready_ps = act_time + t.ps(t.tras)
-        bank.act_ready_ps = act_time + t.ps(t.trc)
-        self._last_act_ps = act_time
-        self._act_history.append(act_time)
-        return act_time + t.ps(t.trcd)
-
     # -- public API ----------------------------------------------------
 
     def access(self, addr: int, is_write: bool, now: int) -> int:
@@ -127,36 +127,92 @@ class DramController:
         the array interface; durability rules are enforced via tWR before
         any later PRE).
         """
-        self._do_refresh(now)
-        t = self.timing
-        bank_id, row, col = self.mapping.decompose(addr)
-        cas_ready = self._open_row(bank_id, row, max(now, self._blocked_until_ps))
-        cas_time = max(cas_ready, self._next_cas_ps)
-        if not is_write:
-            cas_time = max(cas_time, self._rd_ready_after_wr_ps)
-
+        if now >= self._next_refresh_due:
+            self._do_refresh(now)
+        record = self.record_commands
+        bank_id = (addr >> self._bank_shift) & self._bank_mask
+        row = addr >> self._row_shift
         bank = self._banks[bank_id]
-        burst = t.ps(t.burst_cycles)
-        if is_write:
-            self._emit(cas_time, CmdType.WR, bank_id, row=row, col=col)
-            self._writes.add()
-            data_end = cas_time + t.ps(t.cwl) + burst
-            bank.pre_ready_ps = max(bank.pre_ready_ps, data_end + t.ps(t.twr))
-            self._rd_ready_after_wr_ps = max(
-                self._rd_ready_after_wr_ps, data_end + t.ps(t.twtr)
-            )
-        else:
-            self._emit(cas_time, CmdType.RD, bank_id, row=row, col=col)
-            self._reads.add()
-            data_end = cas_time + t.ps(t.cl) + burst
-            bank.pre_ready_ps = max(bank.pre_ready_ps, cas_time + t.ps(t.trtp))
-        self._next_cas_ps = cas_time + t.ps(t.tccd)
+        earliest = self._blocked_until_ps
+        if now > earliest:
+            earliest = now
 
-        if self.row_policy == "closed":
+        # open the row: a hit waits only for tRCD after its ACT
+        if bank.open_row == row:
+            self._hits.value += 1
+            cas_time = bank.act_ps + self._trcd_ps
+            if earliest > cas_time:
+                cas_time = earliest
+        else:
+            self._misses.value += 1
+            act_ready = bank.act_ready_ps
+            if bank.open_row is not None:
+                pre_time = bank.pre_ready_ps
+                if earliest > pre_time:
+                    pre_time = earliest
+                if record:
+                    self.commands.append(Command(pre_time, CmdType.PRE, bank_id))
+                ready = pre_time + self._trp_ps
+                if ready > act_ready:
+                    act_ready = ready
+            act_time = earliest
+            if act_ready > act_time:
+                act_time = act_ready
+            ready = self._last_act_ps + self._trrd_ps
+            if ready > act_time:
+                act_time = ready
+            history = self._act_history
+            if len(history) == 4:
+                ready = history[0] + self._tfaw_ps
+                if ready > act_time:
+                    act_time = ready
+            if record:
+                self.commands.append(Command(act_time, CmdType.ACT, bank_id, row=row))
+            bank.open_row = row
+            bank.act_ps = act_time
+            bank.pre_ready_ps = act_time + self._tras_ps
+            bank.act_ready_ps = act_time + self._trc_ps
+            self._last_act_ps = act_time
+            history.append(act_time)
+            cas_time = act_time + self._trcd_ps
+
+        if self._next_cas_ps > cas_time:
+            cas_time = self._next_cas_ps
+        if is_write:
+            if record:
+                self.commands.append(Command(
+                    cas_time, CmdType.WR, bank_id, row=row,
+                    col=self.mapping.decompose(addr)[2]))
+            self._writes.value += 1
+            data_end = cas_time + self._wr_data_ps
+            ready = data_end + self._twr_ps
+            if ready > bank.pre_ready_ps:
+                bank.pre_ready_ps = ready
+            ready = data_end + self._twtr_ps
+            if ready > self._rd_ready_after_wr_ps:
+                self._rd_ready_after_wr_ps = ready
+        else:
+            if self._rd_ready_after_wr_ps > cas_time:
+                cas_time = self._rd_ready_after_wr_ps
+            if record:
+                self.commands.append(Command(
+                    cas_time, CmdType.RD, bank_id, row=row,
+                    col=self.mapping.decompose(addr)[2]))
+            self._reads.value += 1
+            data_end = cas_time + self._rd_data_ps
+            ready = cas_time + self._trtp_ps
+            if ready > bank.pre_ready_ps:
+                bank.pre_ready_ps = ready
+        self._next_cas_ps = cas_time + self._tccd_ps
+
+        if self._closed:
             pre_time = bank.pre_ready_ps
-            self._emit(pre_time, CmdType.PRE, bank_id)
+            if record:
+                self.commands.append(Command(pre_time, CmdType.PRE, bank_id))
             bank.open_row = None
-            bank.act_ready_ps = max(bank.act_ready_ps, pre_time + t.ps(t.trp))
+            ready = pre_time + self._trp_ps
+            if ready > bank.act_ready_ps:
+                bank.act_ready_ps = ready
         return data_end
 
     @property

@@ -19,7 +19,12 @@ from repro.engine.stats import StatsRegistry
 
 
 class DramDevice:
-    """Multi-channel DDR4 memory with a 64B-line channel interleave."""
+    """Multi-channel DDR4 memory with a 64B-line channel interleave.
+
+    ``nchannels`` is a power of two, so line ``addr >> 6`` goes to channel
+    ``(addr >> 6) & (nchannels - 1)``, which sees the line bits above the
+    channel bits as its local line number.
+    """
 
     def __init__(
         self,
@@ -46,15 +51,14 @@ class DramDevice:
             )
             for _ in range(nchannels)
         ]
-
-    def _channel_of(self, addr: int) -> int:
-        return (addr // CACHE_LINE) % self.nchannels
+        self._channel_mask = nchannels - 1
+        self._local_shift = 6 + nchannels.bit_length() - 1
 
     def access(self, addr: int, is_write: bool, now: int) -> int:
         """One 64B access; returns the completion time in picoseconds."""
         addr %= self.capacity_bytes
-        channel = self.channels[self._channel_of(addr)]
-        local = addr // (CACHE_LINE * self.nchannels) * CACHE_LINE + addr % CACHE_LINE
+        channel = self.channels[(addr >> 6) & self._channel_mask]
+        local = ((addr >> self._local_shift) << 6) | (addr & 63)
         return channel.access(local, is_write, now)
 
     def access_block(self, addr: int, nbytes: int, is_write: bool, now: int) -> int:

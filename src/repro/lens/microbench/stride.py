@@ -32,21 +32,21 @@ class Stride:
                            stride: int = CACHE_LINE, now: int = 0) -> float:
         """Streaming-read bandwidth with ``read_window`` lines in flight."""
         inflight: deque = deque()
-        addr = 0
-        issued = 0
+        window = self.read_window
+        read = target.read
+        addrs = range(0, total_bytes, stride)
         last_done = now
-        while issued * stride < total_bytes:
-            if len(inflight) >= self.read_window:
+        for addr in addrs:
+            if len(inflight) >= window:
                 gate = inflight.popleft()
                 if gate > now:
                     now = gate
-            done = target.read(addr, now)
+            done = read(addr, now)
             inflight.append(done)
-            last_done = max(last_done, done)
-            addr += stride
-            issued += 1
+            if done > last_done:
+                last_done = done
         elapsed = max(1, last_done)
-        return issued * CACHE_LINE / (elapsed / 1e12) / 1e9
+        return len(addrs) * CACHE_LINE / (elapsed / 1e12) / 1e9
 
     def write_bandwidth_gbs(self, target: TargetSystem, total_bytes: int,
                             stride: int = CACHE_LINE, nt: bool = True,
@@ -69,22 +69,20 @@ class Stride:
         """
         if mode is None:
             mode = "nt" if nt else "rfo"
-        addr = 0
-        issued = 0
-        start = now
         write_nt = getattr(target, "write_nt", None)
-        while issued * stride < total_bytes:
-            if mode == "rfo":
-                now = target.read(addr, now)
-            if mode == "nt" and write_nt is not None:
-                now = write_nt(addr, now)
-            else:
-                now = target.write(addr, now)
-            addr += stride
-            issued += 1
+        store = write_nt if mode == "nt" and write_nt is not None else target.write
+        addrs = range(0, total_bytes, stride)
+        start = now
+        if mode == "rfo":
+            read = target.read
+            for addr in addrs:
+                now = store(addr, read(addr, now))
+        else:
+            for addr in addrs:
+                now = store(addr, now)
         now = target.fence(now)
         elapsed = max(1, now - start)
-        return issued * CACHE_LINE / (elapsed / 1e12) / 1e9
+        return len(addrs) * CACHE_LINE / (elapsed / 1e12) / 1e9
 
     def sequential_write_times_us(self, target_factory, sizes: Sequence[int]
                                   ) -> LatencySeries:

@@ -127,14 +127,21 @@ def run_campaign(seed: int, cases: int,
     if workers > 1 and client is None:
         batches = [case_docs[start:start + _BATCH]
                    for start in range(0, len(case_docs), _BATCH)]
+        settled = {}
         for outcome in run_jobs(_run_batch, batches, workers, timeout_s,
                                 retries):
+            if outcome.retry_in_s is None:          # ok or quarantined
+                settled[outcome.index] = outcome
+        # batches settle in whatever order their processes finish; the
+        # report follows case order, as a serial campaign's does
+        for index, batch in enumerate(batches):
+            outcome = settled[index]
             if outcome.status == "ok":
                 records.extend(outcome.value)
-            elif outcome.retry_in_s is None:        # quarantined
+            else:
                 failures.extend({"case": doc, "error": outcome.error,
                                  "attempts": outcome.attempt}
-                                for doc in batches[outcome.index])
+                                for doc in batch)
     else:
         sim_total = 0
         for doc in case_docs:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.units import MIB
+from repro.dram.command import CmdType
 from repro.dram.device import DramDevice
 from repro.dram.timing import DDR4_2666
 from repro.dram.verifier import DDR4ProtocolChecker
@@ -15,10 +16,13 @@ def test_channels_must_be_power_of_two():
 
 
 def test_line_interleave_across_channels():
-    dev = DramDevice(DDR4_2666, nchannels=4)
-    assert dev._channel_of(0) == 0
-    assert dev._channel_of(64) == 1
-    assert dev._channel_of(256) == 0
+    dev = DramDevice(DDR4_2666, nchannels=4, record_commands=True)
+    for addr in (0, 64, 256):
+        dev.access(addr, False, 0)
+    # line n goes to channel n % 4 at channel-local column n // 4
+    reads = [[(c.bank, c.row, c.col) for c in channel.commands
+              if c.kind is CmdType.RD] for channel in dev.channels]
+    assert reads == [[(0, 0, 0), (0, 0, 1)], [(0, 0, 0)], [], []]
 
 
 def test_parallel_channels_beat_single():

@@ -1,6 +1,7 @@
 """Litmus generator, oracle, corpus, campaign, and stream-op plumbing."""
 
 import json
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.litmus import (
     validate_case,
     validate_corpus,
 )
+from repro.litmus import campaign
 from repro.litmus.corpus import case_entry
 from repro.tools import litmus_cli
 
@@ -301,6 +303,23 @@ class TestCampaign:
         assert parallel["completed"] == 30
         assert parallel["loss_families"] == serial["loss_families"]
         assert parallel["violation_count"] == 0
+
+    def test_parallel_report_keeps_case_order(self, monkeypatch):
+        """The batch holding case 0 settles last; the report (first
+        example per loss family included) must still equal the serial
+        one."""
+        run_batch = campaign._run_batch
+
+        def slow_first_batch(batch):
+            if batch[0]["name"].startswith("campaign-11-0-"):
+                time.sleep(1.0)
+            return run_batch(batch)
+
+        serial = run_campaign(11, 60)
+        monkeypatch.setattr(campaign, "_run_batch", slow_first_batch)
+        parallel = run_campaign(11, 60, workers=2)
+        assert (serial.pop("workers"), parallel.pop("workers")) == (1, 2)
+        assert parallel == serial
 
     def test_counters_ride_the_bus(self):
         report = run_campaign(2, 6)
