@@ -34,6 +34,7 @@ class PMEPModel(TargetSystem):
         capacity_bytes: int = 4 * GIB,
         nchannels: int = 4,
     ) -> None:
+        super().__init__()
         self.read_delay_ps = read_delay_ps
         self.write_delay_ps = write_delay_ps
         self.nt_write_ps = nt_write_ps
@@ -45,42 +46,36 @@ class PMEPModel(TargetSystem):
 
     def read(self, addr: int, now: int) -> int:
         """DRAM access plus the injected constant NVRAM delay."""
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
         done = self.dram.access(addr, False, now) + self.read_delay_ps
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        h = self.hooks
+        if h.on:
+            h.faults.on_request(now)
+            h.tick(done)
         return done
 
     def write(self, addr: int, now: int) -> int:
         """Cached store write-back: PMEP only injects delay on demand
         loads, so store streams run at (throttled) DRAM speed — which is
         why PMEP ranks cached stores *above* nt-stores (Fig. 1a)."""
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
         start = self._throttle.serve(now, self._throttle_ps)
         done = self.dram.access(addr, True, start) + self.write_delay_ps
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        h = self.hooks
+        if h.on:
+            h.faults.on_request(now)
+            h.tick(done)
         return done
 
     def write_nt(self, addr: int, now: int) -> int:
         """Non-temporal store: the uncached path is serialized and slow
         on the emulation platform (it occupies the throttled channel for
         the whole uncached transaction)."""
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
         start = self._throttle.serve(now, self.nt_write_ps)
         self.dram.access(addr, True, start)
         done = start + self.nt_write_ps
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        h = self.hooks
+        if h.on:
+            h.faults.on_request(now)
+            h.tick(done)
         return done
 
     def fence(self, now: int) -> int:

@@ -25,6 +25,7 @@ class QuartzModel(TargetSystem):
         epoch_accesses: int = 1024,
         capacity_bytes: int = 4 * GIB,
     ) -> None:
+        super().__init__()
         self.extra_read_ps = extra_read_ps
         self.extra_write_ps = extra_write_ps
         self.epoch_accesses = epoch_accesses
@@ -47,25 +48,21 @@ class QuartzModel(TargetSystem):
         return now
 
     def read(self, addr: int, now: int) -> int:
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
         done = self._account(self.extra_read_ps,
                              self.dram.access(addr, False, now))
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        h = self.hooks
+        if h.on:
+            h.faults.on_request(now)
+            h.tick(done)
         return done
 
     def write(self, addr: int, now: int) -> int:
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
         done = self._account(self.extra_write_ps,
                              self.dram.access(addr, True, now))
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        h = self.hooks
+        if h.on:
+            h.faults.on_request(now)
+            h.tick(done)
         return done
 
     @property

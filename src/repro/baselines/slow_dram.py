@@ -27,6 +27,7 @@ class SlowDramSystem(TargetSystem):
         capacity_bytes: int = 4 * GIB,
         frontend_ps: int = 60 * NS,
     ) -> None:
+        super().__init__()
         self.dram = DramDevice(timing, nchannels=nchannels,
                                capacity_bytes=capacity_bytes)
         self.frontend_ps = frontend_ps
@@ -37,24 +38,20 @@ class SlowDramSystem(TargetSystem):
 
     def read(self, addr: int, now: int) -> int:
         self._c_reads.add()
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
         done = self.dram.access(addr, False, now + self.frontend_ps)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        h = self.hooks
+        if h.on:
+            h.faults.on_request(now)
+            h.tick(done)
         return done
 
     def write(self, addr: int, now: int) -> int:
         self._c_writes.add()
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
         done = self.dram.access(addr, True, now + self.frontend_ps)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        h = self.hooks
+        if h.on:
+            h.faults.on_request(now)
+            h.tick(done)
         return done
 
     def fence(self, now: int) -> int:

@@ -76,16 +76,15 @@ class TraceCore:
         pretranslation=None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
-        from repro.flight.recorder import NULL_FLIGHT
         self.backend = backend
         self.config = config or CoreConfig()
         self.stats = stats or StatsRegistry()
         self.caches = caches or CacheHierarchy(stats=self.stats)
         self.tlbs = tlbs or TlbHierarchy(stats=self.stats)
         self.pretranslation = pretranslation
-        # share the backend's flight recorder so LLC-miss windows land in
-        # the same record stream as the memory-side spans
-        self.flight = getattr(backend, "flight", NULL_FLIGHT)
+        # share the backend's hooks so LLC-miss windows land in the same
+        # flight record stream as the memory-side spans
+        self.hooks = backend.hooks
 
         # CoreConfig.cycle_ps divides on every read; the core reads it
         # on each LLC miss and write-back
@@ -105,15 +104,15 @@ class TraceCore:
 
     def _mem_read_cycles(self, paddr: int) -> float:
         now = self._now_ps()
-        fl = self.flight
-        if fl.enabled:
+        h = self.hooks
+        if h.on:
             # outermost begin: this LLC miss owns the flight record, the
             # backend's own begin/end nests inside it
-            fl.begin("read", paddr, issue_ps=now)
+            h.flight.begin("read", paddr, issue_ps=now)
         done = self.backend.read(paddr, now)
-        if fl.enabled:
-            fl.span("cpu.llc_miss", now, done, phase="window")
-            fl.end(done)
+        if h.on:
+            h.flight.span("cpu.llc_miss", now, done, phase="window")
+            h.flight.end(done)
         return (done - now) / self._cycle_ps
 
     def _cached_access(self, paddr: int, is_write: bool):

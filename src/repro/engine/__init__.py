@@ -6,9 +6,11 @@ Two complementary timing facilities live here:
   (integer-picosecond clock) used by the CPU full-system model and any
   component that needs callbacks at future times.  Its fast path is a
   bucketed :class:`~repro.engine.calendar.CalendarQueue` with pooled
-  :class:`~repro.engine.event.Event` objects and precompiled dispatch
-  slots; :class:`~repro.engine.event.LegacyEngine` keeps the seed
-  binary-heap kernel for determinism cross-checks and benchmarking.
+  :class:`~repro.engine.event.Event` objects and two run loops (a tight
+  one for unbounded, unprofiled runs, the legacy per-event one
+  otherwise); :class:`~repro.engine.event.LegacyEngine` keeps the seed
+  binary-heap kernel for determinism cross-checks and as the reference
+  ``repro-bench --suite kernel`` measures against.
 * :mod:`repro.engine.queueing` — FCFS queueing algebra
   (:class:`FcfsStation`, :class:`Server`, :class:`BankedServer`).  The
   paper reports that Optane DIMMs schedule first-come-first-serve

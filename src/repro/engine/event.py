@@ -6,13 +6,13 @@ Two kernels share one API and one :class:`Event` handle type:
   :class:`~repro.engine.calendar.CalendarQueue` (int-compared bucket
   heap, lazy per-bucket sorting, far-future heap fallback), fired
   ``Event`` objects are recycled through a free-list pool, cancelled
-  events are compacted away once they outnumber the live queue, and the
-  run loop is selected from precompiled dispatch slots: a tight
-  locals-bound loop with batched same-timestamp dispatch when no
-  instrumentation is attached, and an exact replica of the legacy
-  per-event loop (telemetry/fault ticks after every callback) when a
-  sampler or injector is hooked on.  The slot is re-selected only when
-  ``telemetry``/``faults`` are (de)attached — never per event.
+  events are compacted away once they outnumber the live queue, and
+  :meth:`Engine.run` picks one of two run loops: a tight locals-bound
+  loop with batched same-timestamp dispatch for an unbounded run with
+  no profiler attached, and the legacy per-event loop otherwise (the
+  ``until``/``max_events`` bounds, or a host profiler timing each
+  callback).  The choice is re-made only when ``profiler`` is
+  (de)attached — never per event.
 * :class:`LegacyEngine` — the seed kernel: one global binary heap of
   ``(time, seq, callback)`` entries.  Kept as the reference for the
   determinism cross-checks in ``tests/test_kernel_calendar.py`` and as
@@ -111,9 +111,8 @@ class Engine:
     """Event loop with an integer-picosecond clock (calendar-queue core)."""
 
     __slots__ = ("_now", "_seq", "_queue", "_processed", "_pool",
-                 "_telemetry", "_faults", "_profiler", "_fast_dispatch",
-                 "_handler_keys", "_pool_misses", "_sched_base",
-                 "__weakref__")
+                 "_profiler", "_fast_dispatch", "_handler_keys",
+                 "_pool_misses", "_sched_base", "__weakref__")
 
     def __init__(self, bucket_shift: Optional[int] = None,
                  far_span: Optional[int] = None) -> None:
@@ -127,11 +126,9 @@ class Engine:
         self._queue = CalendarQueue(**kwargs)
         self._processed = 0
         self._pool: List[Event] = []
-        self._telemetry: Optional[Any] = None
-        self._faults: Optional[Any] = None
         self._profiler: Optional[Any] = None
-        #: precompiled dispatch slot: True selects the tight
-        #: no-instrumentation loop; rebuilt only on (de)attachment.
+        #: True while no profiler is attached: unbounded runs take the
+        #: tight loop; updated only on (de)attachment.
         self._fast_dispatch = True
         #: callback code object -> attribution key (profiled dispatch)
         self._handler_keys: Dict[Any, str] = {}
@@ -143,28 +140,8 @@ class Engine:
         _ENGINES.add(self)
 
     # ------------------------------------------------------------------
-    # instrumentation seams (dispatch slot rebuild points)
+    # host profiler seam
     # ------------------------------------------------------------------
-
-    @property
-    def telemetry(self) -> Optional[Any]:
-        """Optional telemetry sampler ticked as the clock advances."""
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, sampler: Optional[Any]) -> None:
-        self._telemetry = sampler
-        self._rebuild_dispatch()
-
-    @property
-    def faults(self) -> Optional[Any]:
-        """Optional fault injector ticked the same way."""
-        return self._faults
-
-    @faults.setter
-    def faults(self, injector: Optional[Any]) -> None:
-        self._faults = injector
-        self._rebuild_dispatch()
 
     @property
     def profiler(self) -> Optional[Any]:
@@ -175,12 +152,7 @@ class Engine:
     @profiler.setter
     def profiler(self, prof: Optional[Any]) -> None:
         self._profiler = prof
-        self._rebuild_dispatch()
-
-    def _rebuild_dispatch(self) -> None:
-        self._fast_dispatch = (self._telemetry is None
-                               and self._faults is None
-                               and self._profiler is None)
+        self._fast_dispatch = prof is None
 
     # ------------------------------------------------------------------
     # clock / introspection
@@ -274,12 +246,10 @@ class Engine:
         """
         if until is None and max_events is None and self._fast_dispatch:
             return self._run_fast()
-        if self._profiler is not None:
-            return self._run_profiled(until, max_events)
         return self._run_full(until, max_events)
 
     def _run_fast(self) -> int:
-        """Tight dispatch slot: no instrumentation, no bounds.
+        """Tight loop: no profiler, no bounds.
 
         Binds the queue internals to locals and batches same-timestamp
         dispatch (the clock is stored once per distinct timestamp, and a
@@ -373,67 +343,16 @@ class Engine:
         return self._now
 
     def _run_full(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """Instrumented / bounded dispatch slot.
+        """Bounded / profiled loop.
 
-        Exact replica of the legacy kernel's observable behaviour:
-        telemetry and fault hooks tick after every fired callback, and
-        the ``until``/``max_events`` stop conditions match the seed
-        kernel decision for decision.
-        """
-        fired = 0
-        tel = self._telemetry
-        faults = self._faults
-        queue = self._queue
-        while True:
-            peek = queue.peek_time()
-            if peek is None:
-                break
-            if until is not None and peek > until:
-                self._now = until
-                if tel is not None and tel.enabled:
-                    tel.tick(self._now)
-                return self._now
-            event = queue.pop()
-            if event.cancelled:
-                queue.cancelled -= 1
-                self._recycle(event)
-                continue
-            self._now = event.time
-            fn = event.fn
-            args = event.args
-            event.live = False
-            fn(*args)
-            self._processed += 1
-            self._recycle(event)
-            if tel is not None and tel.enabled:
-                tel.tick(self._now)
-            if faults is not None and faults.enabled:
-                faults.tick(self._now)
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-        if until is not None and self._now < until:
-            self._now = until
-            if tel is not None and tel.enabled:
-                tel.tick(self._now)
-        return self._now
-
-    def _run_profiled(self, until: Optional[int],
-                      max_events: Optional[int]) -> int:
-        """Profiled dispatch slot: :meth:`_run_full` behaviour with each
-        callback timed under a ``handler.<qualname>`` key.
-
-        A separate slot so attaching a profiler never adds a branch to
-        the uninstrumented loops; selected via the same precompiled
-        dispatch rebuild as telemetry/faults.
+        Exact replica of the legacy kernel's observable behaviour: the
+        ``until``/``max_events`` stop conditions match the seed kernel
+        decision for decision.  With a profiler attached, each callback
+        is timed under a ``handler.<qualname>`` key.
         """
         prof = self._profiler
-        push = prof.push
-        pop = prof.pop
         keys = self._handler_keys
         fired = 0
-        tel = self._telemetry
-        faults = self._faults
         queue = self._queue
         while True:
             peek = queue.peek_time()
@@ -441,8 +360,6 @@ class Engine:
                 break
             if until is not None and peek > until:
                 self._now = until
-                if tel is not None and tel.enabled:
-                    tel.tick(self._now)
                 return self._now
             event = queue.pop()
             if event.cancelled:
@@ -453,28 +370,25 @@ class Engine:
             fn = event.fn
             args = event.args
             event.live = False
-            code = _handler_code(fn)
-            key = keys.get(code)
-            if key is None:
-                key = keys[code] = _handler_key(fn)
-            frame = push(key)
-            try:
+            if prof is None:
                 fn(*args)
-            finally:
-                pop(frame)
+            else:
+                code = _handler_code(fn)
+                key = keys.get(code)
+                if key is None:
+                    key = keys[code] = _handler_key(fn)
+                frame = prof.push(key)
+                try:
+                    fn(*args)
+                finally:
+                    prof.pop(frame)
             self._processed += 1
             self._recycle(event)
-            if tel is not None and tel.enabled:
-                tel.tick(self._now)
-            if faults is not None and faults.enabled:
-                faults.tick(self._now)
             fired += 1
             if max_events is not None and fired >= max_events:
                 break
         if until is not None and self._now < until:
             self._now = until
-            if tel is not None and tel.enabled:
-                tel.tick(self._now)
         return self._now
 
     # ------------------------------------------------------------------
@@ -558,12 +472,6 @@ class Engine:
             self._processed += 1
             time = event.time
             self._recycle(event)
-            tel = self._telemetry
-            if tel is not None and tel.enabled:
-                tel.tick(self._now)
-            faults = self._faults
-            if faults is not None and faults.enabled:
-                faults.tick(self._now)
             return (time, fn)
 
     def advance(self, time: int) -> None:
@@ -617,10 +525,6 @@ class LegacyEngine:
         self._heap: List[Event] = []
         self._processed = 0
         self._cancelled = 0
-        #: optional telemetry sampler ticked as the clock advances
-        self.telemetry: Optional[Any] = None
-        #: optional fault injector ticked the same way
-        self.faults: Optional[Any] = None
 
     @property
     def now(self) -> int:
@@ -679,14 +583,10 @@ class LegacyEngine:
         ``max_events`` callbacks have fired.  Returns the final time.
         """
         fired = 0
-        tel = self.telemetry
-        faults = self.faults
         while self._heap:
             event = self._heap[0]
             if until is not None and event.time > until:
                 self._now = until
-                if tel is not None and tel.enabled:
-                    tel.tick(self._now)
                 return self._now
             heapq.heappop(self._heap)
             if event.cancelled:
@@ -697,17 +597,11 @@ class LegacyEngine:
             event.live = False
             event.fn(*event.args)
             self._processed += 1
-            if tel is not None and tel.enabled:
-                tel.tick(self._now)
-            if faults is not None and faults.enabled:
-                faults.tick(self._now)
             fired += 1
             if max_events is not None and fired >= max_events:
                 break
         if until is not None and self._now < until:
             self._now = until
-            if tel is not None and tel.enabled:
-                tel.tick(self._now)
         return self._now
 
     def step(self) -> Optional[Tuple[int, Callable[..., Any]]]:
@@ -722,12 +616,6 @@ class LegacyEngine:
             event.live = False
             event.fn(*event.args)
             self._processed += 1
-            tel = self.telemetry
-            if tel is not None and tel.enabled:
-                tel.tick(self._now)
-            faults = self.faults
-            if faults is not None and faults.enabled:
-                faults.tick(self._now)
             return (event.time, event.fn)
         return None
 

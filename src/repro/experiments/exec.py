@@ -181,9 +181,9 @@ def _release_collected(collection: Collection) -> None:
     """Park the experiment's registry-built systems in the warm cache.
 
     A no-op unless :func:`repro.registry.enable_warm_cache` is active;
-    :func:`repro.registry.release` itself rejects anything with real
-    flight/fault sinks wired in, so this is safe to call unconditionally
-    after the instrumentation snapshot is frozen.
+    :func:`repro.registry.release` itself rejects anything that ran
+    under a flight or fault session, so this is safe to call
+    unconditionally after the instrumentation snapshot is frozen.
     """
     if not registry.warm_cache_enabled():
         return

@@ -13,10 +13,9 @@ modes first-class, schema'd, and deterministic:
   and stuck/slow DDR-T link episodes at simulated times or request
   counts;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, consulted by
-  hooks in the event engine, iMC, DDR-T link, DIMM, 3D-XPoint media,
-  and the wear leveler.  The default everywhere is the zero-cost
-  :data:`NULL_FAULTS` (the ``NULL_BUS``/``NULL_FLIGHT``/
-  ``NULL_TELEMETRY`` contract: one attribute load and a branch);
+  hooks in the iMC, DDR-T link, DIMM, 3D-XPoint media, the wear leveler
+  and the baselines through each system's :class:`~repro.hooks.Hooks`
+  bundle, whose default is the no-op :data:`NULL_FAULTS`;
 * :mod:`repro.faults.persistence` — :class:`PersistenceChecker`, an
   auditor of the write/fence history that reports *lost acknowledged
   writes* after an injected power cut (what the program was told is

@@ -1,16 +1,13 @@
 """The fault injector: plan-driven hooks on the simulated hardware.
 
-Design mirrors ``NULL_BUS`` / ``NULL_FLIGHT`` / ``NULL_TELEMETRY``
-exactly:
-
-* :data:`NULL_FAULTS` is the zero-cost default on every component —
-  ``enabled`` is a plain ``False`` class attribute, so hot paths guard
-  every hook with one attribute load and a branch;
+* :data:`NULL_FAULTS` is the no-op default in every system's
+  :class:`~repro.hooks.Hooks` bundle; stations call its hooks only
+  behind the bundle's one ``hooks.on`` check per hook point;
 * a real :class:`FaultInjector` is built from a
   :class:`~repro.faults.plan.FaultPlan` and installed for a run via
-  :func:`session`; the target registry threads the active injector
-  through every system it builds (iMC, DDR-T channels, DIMM pipeline,
-  media, wear leveler);
+  :func:`session`; the target registry sets the active injector on the
+  hooks of every system it builds, which every station of that system
+  shares (iMC, DDR-T channels, DIMM pipeline, media, wear leveler);
 * an injector built from an **empty plan** returns zero from every
   latency hook and triggers nothing, so its runs are bit-identical to
   :data:`NULL_FAULTS` runs (the zero-cost contract, tested);
@@ -27,11 +24,12 @@ iMC read/write        ``on_request`` (request-count triggers),
                       ``note_write`` (persistence history)
 baseline requests     ``on_request`` (read/write, PMEP ``write_nt``)
 iMC / DDR-T link      ``link_extra_ps`` (stuck/slow link episodes)
-DIMM fence path       ``note_fence``
+iMC fence path        ``note_fence``
 3D-XPoint media       ``media_extra_ps`` (latency spikes + UE retries)
 wear leveler          ``migration_extra_ps`` (stretched migrations)
 Lazy cache (DIMM)     ``note_lazy_absorb`` / ``note_lazy_writeback``
-event engine          ``tick`` (sim-time high-water mark)
+stream driver         ``note_store`` / ``flush_scope`` (cached stores,
+                      cache-line flushes)
 ====================  ===================================================
 """
 
@@ -47,16 +45,13 @@ from repro.flight.recorder import current as current_flight
 
 
 class NullFaultInjector:
-    """No-op injector: the zero-cost default on every component."""
+    """No-op injector: the default in every system's hooks."""
 
     __slots__ = ()
 
     enabled = False
 
     def on_request(self, now: int) -> None:
-        pass
-
-    def tick(self, now: int) -> None:
         pass
 
     def media_extra_ps(self, addr: int, is_write: bool, now: int,
@@ -219,13 +214,6 @@ class FaultInjector:
             self.cut_ps = now
             self.counters["power_cuts"] += 1
         if self.cut_ps is not None:
-            self._instant("power_cut", self.cut_ps)
-
-    def tick(self, now: int) -> None:
-        """Report simulated-time progress (event-engine hook)."""
-        if now > self.horizon_ps:
-            self.horizon_ps = now
-        if self.cut_ps is not None and now >= self.cut_ps:
             self._instant("power_cut", self.cut_ps)
 
     # -- latency hooks --------------------------------------------------

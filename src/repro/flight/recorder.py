@@ -7,15 +7,17 @@ crosses (iMC queues, the DDR-T link, the DIMM LSQ, the RMW buffer, AIT
 translation, wear-leveling, 3D-XPoint media) records a span with
 simulated-picosecond timestamps onto the request currently in flight.
 
-Design mirrors the ``NULL_BUS`` pattern:
+Wiring:
 
-* :data:`NULL_FLIGHT` is the zero-cost default — ``enabled`` and
-  ``active`` are plain ``False`` class attributes, so hot paths guard
-  span recording with one attribute load and a branch;
+* :data:`NULL_FLIGHT` is the no-op default in every system's
+  :class:`~repro.hooks.Hooks` bundle, which the system shares with its
+  stations; a station records behind the bundle's one ``hooks.on``
+  check per hook point and calls the recorder unconditionally past it;
 * a real :class:`FlightRecorder` is *enabled* always but *active* only
   while the current request was selected by the sampling policy
   (record-all, 1-in-N, or reservoir), so a sampled run pays recording
-  cost only on the sampled fraction;
+  cost only on the sampled fraction — :meth:`FlightRecorder.span` and
+  :meth:`~FlightRecorder.instant` return at once when it is inactive;
 * recorders nest: a wrapper system (Memory Mode, ``TargetSystem.submit``,
   the CPU miss path) may ``begin`` a request that internally issues more
   ``begin``/``end`` pairs — only the outermost pair delimits the record,
@@ -92,7 +94,7 @@ class FlightRecord:
 
 
 class NullFlightRecorder:
-    """No-op recorder: the zero-cost default on every component."""
+    """No-op recorder: the default in every system's hooks."""
 
     __slots__ = ()
 

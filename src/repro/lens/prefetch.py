@@ -25,6 +25,7 @@ class PrefetchingTarget(TargetSystem):
     def __init__(self, target: TargetSystem, degree: int = 2,
                  buffer_lines: int = 32, hit_ps: int = 8_000,
                  stats: Optional[StatsRegistry] = None) -> None:
+        super().__init__()
         self.target = target
         self.degree = degree
         self.buffer_lines = buffer_lines

@@ -19,6 +19,7 @@ from typing import Dict, Optional, Tuple
 from repro.common.errors import ConfigError
 from repro.common.units import KIB, US, is_power_of_two
 from repro.engine.stats import StatsRegistry
+from repro.hooks import Hooks
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,14 @@ class WearLeveler:
         capacity_bytes: int,
         stats: Optional[StatsRegistry] = None,
         track_line_wear: bool = False,
-        flight=None,
-        faults=None,
+        hooks: Optional[Hooks] = None,
     ) -> None:
-        from repro.faults.injector import NULL_FAULTS
-        from repro.flight.recorder import NULL_FLIGHT
         self.config = config
         self.capacity_bytes = capacity_bytes
         self.nblocks = max(1, capacity_bytes // config.block_bytes)
         self.stats = stats or StatsRegistry()
         self.track_line_wear = track_line_wear
-        self.flight = flight if flight is not None else NULL_FLIGHT
-        self.faults = faults if faults is not None else NULL_FAULTS
+        self.hooks = hooks if hooks is not None else Hooks()
 
         self._write_counts: Dict[int, int] = {}
         self.migration_counts: Dict[int, int] = {}  # block -> migrations
@@ -132,32 +129,35 @@ class WearLeveler:
             if self.nblocks > 1:
                 self._remap[block] = self._remap.get(block, 0) + 1
             migration_ps = cfg.migration_ps
-            fa = self.faults
-            if fa.enabled:
+            h = self.hooks
+            if h.on:
                 # media-latency episodes stretch the 64KB block copy too
-                migration_ps += fa.migration_extra_ps(ready, cfg.migration_ps)
+                migration_ps += h.faults.migration_extra_ps(
+                    ready, cfg.migration_ps)
             end = ready + migration_ps
             self._blocked_until[block] = end
             self._migrations.add()
             self.migration_counts[block] = self.migration_counts.get(block, 0) + 1
             self._stall_ps.add(end - now)
-            if self.flight.active:
-                self.flight.span("media.wear", now, end, phase="migrate",
-                                 block=f"0x{block * cfg.block_bytes:x}")
+            if h.on and h.flight.active:
+                h.flight.span("media.wear", now, end, phase="migrate",
+                              block=f"0x{block * cfg.block_bytes:x}")
             return end, True
         self._write_counts[block] = count
         if ready > now:
             self._stall_ps.add(ready - now)
-            if self.flight.active:
-                self.flight.span("media.wear", now, ready, phase="stall")
+            h = self.hooks
+            if h.on:
+                h.flight.span("media.wear", now, ready, phase="stall")
         return ready, False
 
     def on_read(self, addr: int, now: int) -> int:
         """Reads also stall while their block is mid-migration."""
         blocked = self._blocked_until.get(self._block_of(addr), 0)
         if blocked > now:
-            if self.flight.active:
-                self.flight.span("media.wear", now, blocked, phase="stall")
+            h = self.hooks
+            if h.on:
+                h.flight.span("media.wear", now, blocked, phase="stall")
             return blocked
         return now
 

@@ -9,11 +9,13 @@ proceed in parallel.  We model each partition as an FCFS server.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.common.units import GIB, NS, align_down, is_power_of_two
 from repro.engine.queueing import BankedServer
 from repro.engine.stats import StatsRegistry
+from repro.hooks import Hooks
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,11 @@ class XPointMedia:
     """Banked 3D-XPoint media with 256B access units."""
 
     def __init__(self, config: XPointConfig, stats: StatsRegistry = None,
-                 flight=None, faults=None) -> None:
-        from repro.faults.injector import NULL_FAULTS
-        from repro.flight.recorder import NULL_FLIGHT
+                 hooks: Optional[Hooks] = None) -> None:
         self.config = config
         self.banks = BankedServer(config.npartitions)
         self.stats = stats or StatsRegistry()
-        self.flight = flight if flight is not None else NULL_FLIGHT
-        self.faults = faults if faults is not None else NULL_FAULTS
+        self.hooks = hooks if hooks is not None else Hooks()
         self._reads = self.stats.counter("media.reads")
         self._writes = self.stats.counter("media.writes")
         self._bytes_read = self.stats.counter("media.bytes_read")
@@ -70,17 +69,18 @@ class XPointMedia:
             self._reads.add()
             self._bytes_read.add(gran)
             service = cfg.read_ps
-        fa = self.faults
-        if fa.enabled:
+        h = self.hooks
+        if h.on:
             # latency-spike episodes and UE retry/ECC cost on reads in an
             # uncorrectable region
-            service += fa.media_extra_ps(media_addr, is_write, now, service)
+            service += h.faults.media_extra_ps(media_addr, is_write, now,
+                                               service)
         partition = unit % cfg.npartitions
         done = self.banks.serve(partition, now, service)
-        if self.flight.active:
-            self.flight.span("media", now, done,
-                             phase="write" if is_write else "read",
-                             partition=partition)
+        if h.on:
+            h.flight.span("media", now, done,
+                          phase="write" if is_write else "read",
+                          partition=partition)
         return done
 
     def access_batch(self, addrs, is_write, issues, engine: str = "auto"):
@@ -89,7 +89,7 @@ class XPointMedia:
         ``engine="vector"`` uses the numpy prefix-scan kernel
         (:mod:`repro.shard.vector`), ``"scalar"`` the authoritative
         per-request loop; ``"auto"`` picks vector when numpy is
-        available and the media is uninstrumented.  Both produce
+        available and no observer is attached.  Both produce
         identical completion times and leave identical partition-server
         and counter state — the cross-check ``repro-shard crosscheck``
         and the kernel bench suite enforce.
@@ -97,10 +97,7 @@ class XPointMedia:
         from repro.shard import vector
         if engine not in ("auto", "vector", "scalar"):
             raise ConfigError(f"unknown batch engine {engine!r}")
-        from repro.faults.injector import NULL_FAULTS
-        from repro.flight.recorder import NULL_FLIGHT
-        eligible = (vector.HAVE_NUMPY and self.flight is NULL_FLIGHT
-                    and self.faults is NULL_FAULTS)
+        eligible = vector.HAVE_NUMPY and not self.hooks.on
         if engine == "vector" and not eligible:
             raise ConfigError("vector batch engine needs numpy and "
                               "uninstrumented media")

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from repro.common.units import KIB
 from repro.engine.stats import StatsRegistry
+from repro.hooks import Hooks
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,10 @@ class LazyCache:
 
     def __init__(self, config: Optional[LazyCacheConfig] = None,
                  stats: Optional[StatsRegistry] = None,
-                 flight=None) -> None:
-        from repro.flight.recorder import NULL_FLIGHT
+                 hooks: Optional[Hooks] = None) -> None:
         self.config = config or LazyCacheConfig()
         self.stats = stats or StatsRegistry()
-        self.flight = flight if flight is not None else NULL_FLIGHT
+        self.hooks = hooks if hooks is not None else Hooks()
         # WLB: wear-hot 256B block addresses eligible for caching
         self._wlb: "OrderedDict[int, bool]" = OrderedDict()
         self._wlb_entries = 64
@@ -103,8 +103,9 @@ class LazyCache:
             if dirty:
                 self._c_evicted.add()
                 evicted.append(victim)
-        if self.flight.active:
-            fl = self.flight
+        h = self.hooks
+        if h.on and h.flight.active:
+            fl = h.flight
             fl.instant("dimm.lazy", "absorb", now, block=f"0x{block_addr:x}")
             for victim in evicted:
                 fl.instant("dimm.lazy", "evict", now, block=f"0x{victim:x}")

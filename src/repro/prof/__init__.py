@@ -3,10 +3,10 @@
 ``repro.prof`` attributes the *host's* wall time (where the Python
 process spends its cycles) per station/event-handler callsite — the
 complement of the flight recorder, which attributes *simulated*
-nanoseconds.  It is the fifth zero-cost hook after the instrument bus,
-flight recorder, telemetry, and progress sinks: uninstrumented runs
-see only the class-level :data:`NULL_PROF` null object, and nothing is
-wrapped.
+nanoseconds.  Outside a profiling session the current profiler is the
+no-op :data:`NULL_PROF` and nothing is wrapped; inside one, the
+``profile_points()`` methods of every registry-built system are wrapped
+instance-side and unwrapped again when the session ends.
 """
 
 from repro.prof.profiler import (

@@ -37,7 +37,7 @@ PROFILE_SCHEMA = "repro.prof/1"
 
 
 class NullProfiler:
-    """Zero-cost stand-in bound at class level on every target."""
+    """Zero-cost stand-in: the current profiler outside a session."""
 
     __slots__ = ()
     enabled = False

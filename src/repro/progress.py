@@ -15,8 +15,7 @@ periodically emits a compact JSON-safe *frame* through a caller-supplied
      "frame": 3, "telemetry": {...small live snapshot...}}
 
 Frames are **advisory**: they never enter a result payload, so a run
-with a reporter attached stays byte-identical to one without (the same
-contract ``NULL_BUS`` / ``NULL_FLIGHT`` / ``NULL_TELEMETRY`` make).
+with a reporter attached stays byte-identical to one without.
 Emission is throttled twice — frames are *due* when the simulated clock
 crosses an ``interval_ps`` boundary, and actually *sent* at most once
 per ``min_wall_s`` of wall time — so a fast simulation cannot flood the
@@ -24,13 +23,15 @@ worker pipe.  Phase changes and :meth:`finalize` always emit, which
 guarantees every reported run produces at least two frames (the
 phase-open frame and the terminal one).
 
-Design mirrors the other zero-cost hooks exactly:
+Wiring:
 
 * :data:`NULL_PROGRESS` is the shared no-op default (``enabled`` is a
   class attribute ``False``);
-* :func:`session` installs a live reporter; the target registry routes
-  sim-time ticks from every system it builds to the innermost active
-  reporter (tee'ing with the telemetry sampler when both are active);
+* :func:`session` installs a live reporter; the target registry puts
+  it among the tick sinks of every system it builds
+  (:class:`~repro.hooks.Hooks`), after the telemetry sampler when both
+  are active, so each completed request ticks the sampler, then the
+  reporter;
 * the serve worker pool constructs a reporter per job whose ``emit``
   ships frames over the existing worker pipe
   (:mod:`repro.serve.pool`), relayed to the owning client connection.
@@ -204,35 +205,6 @@ class ProgressReporter:
             # advisory channel: a broken pipe or serialization hiccup
             # must never take the simulation down with it
             pass
-
-
-class TelemetryFanout:
-    """Duck-typed telemetry sink forwarding ticks to several receivers.
-
-    Installed instance-side as ``system.telemetry`` when a progress
-    session and a telemetry session are active at once: the sampler sees
-    the identical tick sequence it would have seen alone (timelines stay
-    bit-identical), and the reporter rides along.
-    """
-
-    __slots__ = ("_sinks",)
-
-    enabled = True
-
-    def __init__(self, *sinks: object) -> None:
-        self._sinks = tuple(s for s in sinks if getattr(s, "enabled", False))
-
-    def tick(self, now_ps: int) -> None:
-        for sink in self._sinks:
-            sink.tick(now_ps)
-
-    def attach(self, system: object) -> None:
-        for sink in self._sinks:
-            sink.attach(system)
-
-    def finalize(self) -> None:
-        for sink in self._sinks:
-            sink.finalize()
 
 
 # ----------------------------------------------------------------------

@@ -44,12 +44,9 @@ from repro.baselines.slow_dram import (
     ramulator_pcm,
 )
 from repro.common.errors import UnknownOverrideError, UnknownTargetError
-from repro.faults.injector import NULL_FAULTS
 from repro.faults.injector import current as current_faults
-from repro.flight.recorder import NULL_FLIGHT
 from repro.flight.recorder import current as current_flight
 from repro.instrument import NULL_BUS, InstrumentBus, announce
-from repro.progress import TelemetryFanout
 from repro.progress import current as current_progress
 from repro.prof.profiler import current as current_prof
 from repro.prof.profiler import uninstrument as prof_uninstrument
@@ -144,30 +141,22 @@ def _validate_overrides(target_spec: TargetSpec,
 def _attach_session(system: Any) -> Any:
     """Wire a built (or warm-cache reused) system into the session.
 
-    Announces to the active instrumentation Collection, attaches live
-    telemetry instance-side, publishes fault counters, and wraps the
-    system for the active host profiler.
+    Announces to the active instrumentation Collection, sets the
+    session's flight recorder, fault injector and tick sinks on the
+    system's hooks, publishes fault counters, and wraps the system for
+    the active host profiler.
     """
     announce(system)
-    telemetry = current_telemetry()
-    if telemetry.enabled and isinstance(system, TargetSystem):
-        telemetry.attach(system)
-        system.telemetry = telemetry
-    progress = current_progress()
-    if progress.enabled and isinstance(system, TargetSystem):
-        # Progress rides the telemetry tick seam: the reporter (or a
-        # fanout of sampler + reporter when both sessions are active)
-        # is installed instance-side, so every completed request's
-        # sim-time tick also advances the progress frames.  Frames are
-        # advisory — the sampler still sees the identical tick
-        # sequence, and release() pops the instance attribute, so
-        # warm-cache eligibility and bit-identity are unaffected.
-        progress.attach(system)
-        if telemetry.enabled:
-            system.telemetry = TelemetryFanout(telemetry, progress)
-        else:
-            system.telemetry = progress
     faults = current_faults()
+    if isinstance(system, TargetSystem):
+        # The sampler ticks before the reporter: progress frames are
+        # advisory and never change the sampler's tick sequence.
+        ticks = []
+        for sink in (current_telemetry(), current_progress()):
+            if sink.enabled:
+                sink.attach(system)
+                ticks.append(sink)
+        system.hooks.set(current_flight(), faults, ticks)
     if faults.enabled and not faults.published and not faults.plan.empty:
         # Publish the injection counters onto the first instrumented
         # system only: merged collection snapshots sum per path across
@@ -195,8 +184,8 @@ def build(name: str, **overrides: Any):
     When the warm cache is enabled (:func:`enable_warm_cache`) and a
     previously :func:`release`-d system matches ``(name, overrides)``
     exactly, that system is reused instead of rebuilt — except under an
-    active flight/fault session, whose sinks must be constructor-wired
-    and therefore always force a fresh build.
+    active flight/fault session, which always gets a fresh build (see
+    the warm-cache notes below).
     """
     target_spec = spec(name)
     _validate_overrides(target_spec, overrides)
@@ -239,10 +228,13 @@ def factory(name: str, **overrides: Any) -> Callable[[], TargetSystem]:
 # can park finished systems and hand them back out instead, relying on
 # the ``TargetSystem.reset()`` lifecycle to restore as-built state.
 #
-# Eligibility is strict — only systems whose flight/fault sinks are the
-# construction-time null objects may be parked, because real sinks are
-# constructor-wired into subcomponents and cannot be detached by reset.
-# Telemetry is attached instance-side, so release simply pops it.
+# Eligibility is strict — a system that ran under a flight or fault
+# session is never parked, and such sessions always build fresh.  An
+# injector publishes its gauges onto the system's instrument bus, and
+# InstrumentBus.reset() keeps registered gauges, so a reused system
+# would carry the previous session's fault counters into the next
+# one's snapshots; flight runs are kept on fresh builds alike.  The
+# tick sinks are only hooks, so release() simply detaches them.
 
 _WARM_LIMIT = 0
 _WARM_CACHE: Dict[Tuple[Any, ...], List[Any]] = {}
@@ -303,22 +295,22 @@ def release(system: Any) -> bool:
     """Return a system acquired via :func:`acquire`/:func:`build` to the
     warm cache.  Returns ``True`` if it was parked for reuse.
 
-    Systems wired with real flight/fault sinks at construction are never
-    parked (the sinks are threaded through subcomponent constructors and
-    would leak into the next session); the cache is also bounded, so a
-    full cache simply drops the system.
+    Every observer is detached from the system's hooks first.  Systems
+    that ran under a flight or fault session are then never parked (see
+    the warm-cache notes above); the cache is also bounded, so a full
+    cache simply drops the system.
     """
     if _WARM_LIMIT <= 0 or not isinstance(system, TargetSystem):
         return False
     key = getattr(system, "_registry_key", None)
     if key is None:
         return False
-    if system.flight is not NULL_FLIGHT or system.faults is not NULL_FAULTS:
+    hooks = system.hooks
+    observed = hooks.flight.enabled or hooks.faults.enabled
+    hooks.set()
+    if observed:
         _WARM_STATS["ineligible"] += 1
         return False
-    # Telemetry is attached instance-side by _attach_session; detach it
-    # so the class-level NULL_TELEMETRY default shows through again.
-    system.__dict__.pop("telemetry", None)
     # Likewise strip any host-profiler wrappers before parking, so a
     # reused system never times (or slows) a later unprofiled session.
     prof_uninstrument(system)
@@ -401,22 +393,15 @@ def derive_vans_config(
 def _build_vans(config: Optional[VansConfig] = None,
                 track_line_wear: bool = False,
                 instrument: bool = True,
-                flight=None,
-                faults=None,
                 **config_overrides: Any) -> VansSystem:
     cfg = derive_vans_config(config, **config_overrides)
     return VansSystem(cfg, track_line_wear=track_line_wear,
-                      instrument=_bus(instrument),
-                      flight=flight if flight is not None else current_flight(),
-                      faults=faults if faults is not None else current_faults())
+                      instrument=_bus(instrument))
 
 
-def _build_memory_mode(instrument: bool = True, flight=None, faults=None,
+def _build_memory_mode(instrument: bool = True,
                        **kwargs: Any) -> MemoryModeSystem:
-    return MemoryModeSystem(
-        instrument=_bus(instrument),
-        flight=flight if flight is not None else current_flight(),
-        faults=faults if faults is not None else current_faults(), **kwargs)
+    return MemoryModeSystem(instrument=_bus(instrument), **kwargs)
 
 
 def _passthrough(builder: Callable[..., TargetSystem]):
@@ -424,16 +409,7 @@ def _passthrough(builder: Callable[..., TargetSystem]):
         # The DRAM-era baselines have no bus-wired internals; their
         # stats registries already feed instrument_snapshot().
         del instrument
-        system = builder(**kwargs)
-        flight = current_flight()
-        if flight.enabled:
-            # no internal stations, but submit() still records op-level
-            # begin/complete so baselines appear in flight reports
-            system.flight = flight
-        faults = current_faults()
-        if faults.enabled:
-            system.faults = faults
-        return system
+        return builder(**kwargs)
     return _build
 
 

@@ -92,15 +92,13 @@ def media_access_batch(media, addrs, is_write, issues) -> "np.ndarray":
 
     Computes the partition index and service time of every access,
     scans each partition server, and applies the same counter updates
-    the scalar loop would.  Raises :class:`ValueError` when the media
-    has live flight/fault sinks — those paths branch per request and
-    stay scalar.
+    the scalar loop would.  Raises :class:`ValueError` when an observer
+    is attached to the media's hooks — those paths branch per request
+    and stay scalar.
     """
-    from repro.faults.injector import NULL_FAULTS
-    from repro.flight.recorder import NULL_FLIGHT
-    if media.flight is not NULL_FLIGHT or media.faults is not NULL_FAULTS:
+    if media.hooks.on:
         raise ValueError("media_access_batch requires uninstrumented media "
-                         "(null flight/fault sinks); use the scalar path")
+                         "(no observer attached); use the scalar path")
     if not HAVE_NUMPY:
         return media_access_batch_scalar(media, addrs, is_write, issues)
     cfg = media.config

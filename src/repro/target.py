@@ -10,12 +10,10 @@ harness can thread a clock through a request stream.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 from repro.engine.request import CACHE_LINE, Op, Request
-from repro.faults.injector import NULL_FAULTS
-from repro.flight.recorder import NULL_FLIGHT
-from repro.prof.profiler import NULL_PROF
-from repro.telemetry.sampler import NULL_TELEMETRY
+from repro.hooks import Hooks
 
 
 class TargetSystem(ABC):
@@ -24,30 +22,19 @@ class TargetSystem(ABC):
     #: short identifier used in reports
     name: str = "target"
 
-    #: per-request flight recorder (instrumented systems overwrite this
-    #: instance-side; the class default is the zero-cost no-op)
-    flight = NULL_FLIGHT
-
-    #: sim-time telemetry sampler (instance-side when a telemetry session
-    #: is active; the class default is the zero-cost no-op)
-    telemetry = NULL_TELEMETRY
-
-    #: fault injector (instance-side when a faults session is active;
-    #: the class default is the zero-cost no-op)
-    faults = NULL_FAULTS
-
-    #: host wall-clock profiler (instance-side when a profiling session
-    #: is active; the class default is the zero-cost no-op).  It wraps
-    #: the class methods named by :meth:`profile_points` instance-side,
-    #: so timings cover the same code unprofiled runs execute.
-    prof = NULL_PROF
+    def __init__(self, hooks: Optional[Hooks] = None) -> None:
+        #: the system's observers (flight recorder, fault injector,
+        #: telemetry/progress tick sinks), shared with every station it
+        #: builds; the registry attaches a session's observers here
+        self.hooks = hooks if hooks is not None else Hooks()
 
     def profile_points(self):
         """Host-profiler attribution points: ``(key, owner, method)``.
 
-        The profiler wraps ``getattr(owner, method)`` instance-side for
-        the session; composite systems override this to also yield
-        their internal station callsites (iMC, DIMM, media, ...).
+        The host profiler wraps ``getattr(owner, method)`` instance-side
+        for the session, over the class methods unprofiled runs execute;
+        composite systems override this to also yield their internal
+        station callsites (iMC, DIMM, media, ...).
         Owners without a ``__dict__`` (slotted stations) are skipped by
         the profiler — their time lands in the enclosing component's
         key.
@@ -80,11 +67,14 @@ class TargetSystem(ABC):
         When a flight recorder is attached and samples this request, the
         resulting :class:`~repro.flight.FlightRecord` (tagged with the
         request id and exact op name) is hung on ``request.flight``.
+        The tick sinks see the request once, from ``read``/``write``/
+        ``fence``.
         """
-        fl = self.flight
-        if fl.enabled:
-            fl.begin(request.op.name.lower(), request.addr, request.size,
-                     issue_ps=request.issue_ps, req_id=request.req_id)
+        h = self.hooks
+        if h.on:
+            h.flight.begin(request.op.name.lower(), request.addr,
+                           request.size, issue_ps=request.issue_ps,
+                           req_id=request.req_id)
         if request.op is Op.FENCE:
             request.accept_ps = request.issue_ps
             request.complete_ps = self.fence(request.issue_ps)
@@ -94,14 +84,12 @@ class TargetSystem(ABC):
         else:
             request.accept_ps = request.issue_ps
             request.complete_ps = self.read(request.addr, request.issue_ps)
-        if fl.enabled:
+        if h.on:
+            fl = h.flight
             fl.end(request.complete_ps)
             record = fl.last
             if record is not None and record.req_id == request.req_id:
                 request.flight = record
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(request.complete_ps)
         return request
 
     def warm_fill(self, start_addr: int, length: int) -> None:

@@ -6,22 +6,19 @@ answers the remaining question: *how did the run evolve* — queue depths,
 bandwidth, wear activity, cache hit counts as a function of simulated
 time.
 
-Design mirrors ``NULL_BUS`` / ``NULL_FLIGHT`` exactly:
-
-* :data:`NULL_TELEMETRY` is the zero-cost default on every component:
-  ``enabled`` is a plain class-attribute ``False``, so hot paths guard
-  ticking with one attribute load and a branch;
+* :data:`NULL_TELEMETRY` is the no-op current sampler outside a
+  session;
 * a real :class:`TelemetrySampler` is installed for a run via
   :func:`session`; the target registry attaches the active sampler to
-  every system it builds (and the systems tick it as their simulated
-  clock advances);
+  every system it builds and puts it among the tick sinks of the
+  system's :class:`~repro.hooks.Hooks` bundle, so the system ticks it
+  as its simulated clock advances;
 * everything sampled is simulated time and deterministic simulator
   state.  No wall-clock value ever enters a timeline, so serial and
   ``--workers N`` runs produce bit-identical telemetry.
 
-Sampling is driven by *ticks*: each completed request (and each event
-the discrete-event :class:`~repro.engine.event.Engine` fires, when one
-is wired) reports the current simulated time.  When the clock crosses an
+Sampling is driven by *ticks*: each completed request reports the
+current simulated time.  When the clock crosses an
 interval boundary the sampler takes one typed snapshot of every attached
 system — counters (stats-registry and bus), pull-gauges (evaluated with
 the same error resilience as :meth:`InstrumentBus.snapshot`), and
@@ -56,7 +53,7 @@ _HIST_STATS = ("mean", "p50", "p99")
 
 
 class NullTelemetry:
-    """No-op sampler: the zero-cost default on every component."""
+    """No-op sampler: the current sampler outside a session."""
 
     __slots__ = ()
 

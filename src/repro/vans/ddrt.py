@@ -21,6 +21,7 @@ from typing import Optional
 from repro.common.units import NS
 from repro.engine.queueing import FcfsStation, Server
 from repro.engine.stats import StatsRegistry
+from repro.hooks import Hooks
 
 
 class DdrtChannel:
@@ -40,67 +41,66 @@ class DdrtChannel:
         command_ps: int = 8 * NS,   # one request/grant packet
         data_ps: int = 6 * NS,      # one 64B data beat group
         stats: Optional[StatsRegistry] = None,
-        flight=None,
-        faults=None,
+        hooks: Optional[Hooks] = None,
         channel: int = 0,
     ) -> None:
-        from repro.faults.injector import NULL_FAULTS
-        from repro.flight.recorder import NULL_FLIGHT
         self.credits = FcfsStation(command_slots)
         self.command_bus = Server()
         self.data_bus = Server()
         self.command_ps = command_ps
         self.data_ps = data_ps
         self.stats = stats or StatsRegistry()
-        self.flight = flight if flight is not None else NULL_FLIGHT
-        self.faults = faults if faults is not None else NULL_FAULTS
+        self.hooks = hooks if hooks is not None else Hooks()
         self.channel = channel
         self._c_reads = self.stats.counter("ddrt.read_txns")
         self._c_writes = self.stats.counter("ddrt.write_txns")
-
-    def _command_ps(self, now: int) -> int:
-        fa = self.faults
-        if fa.enabled:
-            return self.command_ps + fa.link_extra_ps(
-                self.channel, now, self.command_ps)
-        return self.command_ps
-
-    def _data_ps(self, now: int) -> int:
-        fa = self.faults
-        if fa.enabled:
-            return self.data_ps + fa.link_extra_ps(
-                self.channel, now, self.data_ps)
-        return self.data_ps
 
     def send_read_request(self, now: int) -> int:
         """Issue a read transaction; returns when the DIMM has the
         command (credit acquired + command bus transfer)."""
         self._c_reads.add()
+        h = self.hooks
         granted = self.credits.admit(now)
-        done = self.command_bus.serve(granted, self._command_ps(granted))
-        if self.flight.active:
-            self.flight.span("ddrt.credits", now, granted, phase="wait")
-            self.flight.span("ddrt.cmd_bus", granted, done, phase="request")
+        command_ps = self.command_ps
+        if h.on:
+            command_ps += h.faults.link_extra_ps(self.channel, granted,
+                                                 command_ps)
+        done = self.command_bus.serve(granted, command_ps)
+        if h.on:
+            h.flight.span("ddrt.credits", now, granted, phase="wait")
+            h.flight.span("ddrt.cmd_bus", granted, done, phase="request")
         return done
 
     def return_read_data(self, ready: int) -> int:
         """DIMM pushes the 64B payload back; frees the credit."""
-        done = self.data_bus.serve(ready, self._data_ps(ready))
-        if self.flight.active:
-            self.flight.span("ddrt.data_bus", ready, done, phase="return")
+        h = self.hooks
+        data_ps = self.data_ps
+        if h.on:
+            data_ps += h.faults.link_extra_ps(self.channel, ready, data_ps)
+        done = self.data_bus.serve(ready, data_ps)
+        if h.on:
+            h.flight.span("ddrt.data_bus", ready, done, phase="return")
         self.credits.retire_at(done)
         return done
 
     def send_write(self, now: int) -> int:
         """Issue a 64B write transaction (command + data outbound)."""
         self._c_writes.add()
+        h = self.hooks
         granted = self.credits.admit(now)
-        cmd_done = self.command_bus.serve(granted, self._command_ps(granted))
-        data_done = self.data_bus.serve(cmd_done, self._data_ps(cmd_done))
-        if self.flight.active:
-            self.flight.span("ddrt.credits", now, granted, phase="wait")
-            self.flight.span("ddrt.cmd_bus", granted, cmd_done, phase="send")
-            self.flight.span("ddrt.data_bus", cmd_done, data_done, phase="send")
+        command_ps = self.command_ps
+        if h.on:
+            command_ps += h.faults.link_extra_ps(self.channel, granted,
+                                                 command_ps)
+        cmd_done = self.command_bus.serve(granted, command_ps)
+        data_ps = self.data_ps
+        if h.on:
+            data_ps += h.faults.link_extra_ps(self.channel, cmd_done, data_ps)
+        data_done = self.data_bus.serve(cmd_done, data_ps)
+        if h.on:
+            h.flight.span("ddrt.credits", now, granted, phase="wait")
+            h.flight.span("ddrt.cmd_bus", granted, cmd_done, phase="send")
+            h.flight.span("ddrt.data_bus", cmd_done, data_done, phase="send")
         return data_done
 
     def complete_write(self, accepted: int) -> None:

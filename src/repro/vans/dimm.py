@@ -30,6 +30,7 @@ from repro.dram.device import DramDevice
 from repro.engine.queueing import FcfsStation, Server
 from repro.engine.request import CACHE_LINE
 from repro.engine.stats import StatsRegistry
+from repro.hooks import Hooks
 from repro.media.wear import WearLeveler
 from repro.media.xpoint import XPointMedia
 from repro.vans.config import DimmConfig
@@ -50,15 +51,12 @@ class NvramDimm:
 
     def __init__(self, config: DimmConfig, stats: Optional[StatsRegistry] = None,
                  track_line_wear: bool = False, instrument=None,
-                 flight=None, faults=None) -> None:
-        from repro.faults.injector import NULL_FAULTS
-        from repro.flight.recorder import NULL_FLIGHT
+                 hooks: Optional[Hooks] = None) -> None:
         from repro.instrument import NULL_BUS
         self.config = config
         self.stats = stats or StatsRegistry()
         self.instrument = instrument if instrument is not None else NULL_BUS
-        self.flight = flight if flight is not None else NULL_FLIGHT
-        self.faults = faults if faults is not None else NULL_FAULTS
+        self.hooks = hooks if hooks is not None else Hooks()
         t = config.timing
         self.t = t
 
@@ -72,19 +70,18 @@ class NvramDimm:
             capacity_bytes=config.dram_capacity_bytes,
         )
         self.media = XPointMedia(config.media, stats=self.stats,
-                                 flight=self.flight, faults=self.faults)
+                                 hooks=self.hooks)
         self.wear = WearLeveler(
             config.wear,
             capacity_bytes=config.media.capacity_bytes,
             stats=self.stats,
             track_line_wear=track_line_wear,
-            flight=self.flight,
-            faults=self.faults,
+            hooks=self.hooks,
         )
         self.lazy = None
         if config.lazy_cache:
             from repro.optim.lazycache import LazyCache
-            self.lazy = LazyCache(stats=self.stats, flight=self.flight)
+            self.lazy = LazyCache(stats=self.stats, hooks=self.hooks)
 
         # Optional SRAM cache of hot AIT translation records (a
         # design-space knob; disabled in the validated configuration).
@@ -173,6 +170,7 @@ class NvramDimm:
         With the (optional) translation cache enabled, hot records are
         served from controller SRAM instead of the on-DIMM DRAM.
         """
+        h = self.hooks
         cache_entries = self.config.ait.table_cache_entries
         if cache_entries:
             page = self._page_of(addr)
@@ -180,18 +178,18 @@ class NvramDimm:
                 self._table_cache.move_to_end(page)
                 self.stats.counter("dimm.table_cache_hits").add()
                 done = now + self.config.ait.table_cache_hit_ps
-                if self.flight.active:
-                    self.flight.span("dimm.ait", now, done, phase="table",
-                                     source="sram")
+                if h.on:
+                    h.flight.span("dimm.ait", now, done, phase="table",
+                                  source="sram")
                 return done
             self.stats.counter("dimm.table_cache_misses").add()
             self._table_cache[page] = True
             if len(self._table_cache) > cache_entries:
                 self._table_cache.popitem(last=False)
         done = self.dram.access(self._table_addr(addr), False, now)
-        if self.flight.active:
-            self.flight.span("dimm.ait", now, done, phase="table",
-                             source="dram")
+        if h.on:
+            h.flight.span("dimm.ait", now, done, phase="table",
+                          source="dram")
         return done
 
     def _ait_insert(self, page: int, now: int) -> int:
@@ -218,7 +216,7 @@ class NvramDimm:
         block = self._block_of(addr)
         done_table = self._ait_lookup(addr, now)
 
-        fl = self.flight
+        h = self.hooks
         slot = self._ait_tags.get(page)
         if slot is not None:
             self._ait_tags.move_to_end(page)
@@ -227,8 +225,9 @@ class NvramDimm:
             done = self.dram.access_block(
                 self._slot_addr(slot, offset), cfg.rmw.entry_bytes, False, done_table
             )
-            if fl.active:
-                fl.span("dimm.ait", done_table, done, phase="buffer_hit")
+            if h.on:
+                h.flight.span("dimm.ait", done_table, done,
+                              phase="buffer_hit")
             return done
 
         # AIT miss: 4KB media fill.
@@ -239,8 +238,8 @@ class NvramDimm:
         # Critical 256B first.
         array_done = self.media.access(self.wear.translate(block), False, start)
         first = self.media_port.serve(array_done, MEDIA_PORT_READ_PS)
-        if fl.active:
-            fl.span("dimm.media_port", array_done, first, phase="read")
+        if h.on:
+            h.flight.span("dimm.media_port", array_done, first, phase="read")
         # Background: the remaining units of the 4KB entry.
         fill_done = first
         unit = page
@@ -277,8 +276,9 @@ class NvramDimm:
 
         ready, _migrated = self.wear.on_write(block, done_table)
         handoff = self.media_port.serve(ready, MEDIA_PORT_WRITE_PS)
-        if self.flight.active:
-            self.flight.span("dimm.media_port", ready, handoff, phase="write")
+        h = self.hooks
+        if h.on:
+            h.flight.span("dimm.media_port", ready, handoff, phase="write")
         durable = self.media.access(self.wear.translate(block), True, handoff)
 
         slot = self._ait_tags.get(page)
@@ -345,38 +345,38 @@ class NvramDimm:
         admit = self.lsq.admit(now)
         start = self._turnaround(False, admit + t.lsq_proc_ps)
         block = self._block_of(addr)
-        fl = self.flight
-        if fl.active:
-            fl.span("dimm.lsq", now, admit, phase="wait")
-            fl.span("dimm.lsq", admit, start, phase="proc")
+        h = self.hooks
+        if h.on:
+            h.flight.span("dimm.lsq", now, admit, phase="wait")
+            h.flight.span("dimm.lsq", admit, start, phase="proc")
 
         if self.lazy is not None and self.lazy.contains(block):
             # The Lazy cache holds the newest copy of wear-hot blocks.
             self._c_rmw_hits.add()
             ready = self.engine.serve(start, self.lazy.config.hit_ps)
-            if fl.active:
-                fl.span("dimm.lazy", start, ready, phase="hit")
+            if h.on:
+                h.flight.span("dimm.lazy", start, ready, phase="hit")
         elif self._rmw_touch(block):
             self._c_rmw_hits.add()
             ready = self.engine.serve(start, t.rmw_hit_ps)
-            if fl.active:
-                fl.span("dimm.rmw", start, ready, phase="hit")
+            if h.on:
+                h.flight.span("dimm.rmw", start, ready, phase="hit")
         else:
             self._c_rmw_misses.add()
             self._c_rmw_fill_bytes.add(self.config.rmw.entry_bytes)
             op_done = self.engine.serve(start, t.engine_op_ps)
-            if fl.active:
-                fl.span("dimm.engine", start, op_done, phase="op")
+            if h.on:
+                h.flight.span("dimm.engine", start, op_done, phase="op")
             ready = self._ait_read_block(addr, op_done)
-            if fl.active:
-                fl.span("dimm.rmw", ready, ready + t.rmw_fill_ps,
-                        phase="fill")
+            if h.on:
+                h.flight.span("dimm.rmw", ready, ready + t.rmw_fill_ps,
+                              phase="fill")
             ready += t.rmw_fill_ps
             self._rmw_insert(block)
 
         done = self.bus.serve(ready, t.bus_line_ps) + t.ddrt_grant_ps
-        if fl.active:
-            fl.span("dimm.return_bus", ready, done, phase="return")
+        if h.on:
+            h.flight.span("dimm.return_bus", ready, done, phase="return")
         self.lsq.retire_at(done)
         return done
 
@@ -394,19 +394,19 @@ class NvramDimm:
         arrive = self._turnaround(True, admit + t.lsq_proc_ps)
         block = self._block_of(addr)
         line = align_down(addr, CACHE_LINE)
-        fl = self.flight
-        if fl.active:
-            fl.span("dimm.lsq", now, admit, phase="wait")
-            fl.span("dimm.lsq", admit, arrive, phase="proc")
+        h = self.hooks
+        if h.on:
+            h.flight.span("dimm.lsq", now, admit, phase="wait")
+            h.flight.span("dimm.lsq", admit, arrive, phase="proc")
 
         if (
             self._wc_block == block
             and line not in self._wc_lines
             and arrive - self._wc_last_ps <= self.config.lsq.combine_window_ps
         ):
-            if fl.active:
-                fl.instant("dimm.lsq", "write_combine", arrive,
-                           block=f"0x{block:x}")
+            if h.on and h.flight.active:
+                h.flight.instant("dimm.lsq", "write_combine", arrive,
+                                 block=f"0x{block:x}")
             self._wc_lines.add(line)
             self._wc_last_ps = arrive
             if len(self._wc_lines) * CACHE_LINE >= self.config.lsq.combine_bytes:
@@ -432,6 +432,7 @@ class NvramDimm:
         if self._wc_block is None:
             return now
         t = self.t
+        h = self.hooks
         block = self._wc_block
         nbytes = len(self._wc_lines) * CACHE_LINE
         self._wc_block = None
@@ -447,25 +448,23 @@ class NvramDimm:
                 self.lazy.mark_hot(block)
             if self.lazy.contains(block) or self.lazy.is_hot(block):
                 done = self.engine.serve(now, self.lazy.config.hit_ps)
-                if self.flight.active:
-                    self.flight.span("dimm.lazy", now, done, phase="absorb")
-                fa = self.faults
-                if fa.enabled:
+                if h.on:
+                    h.flight.span("dimm.lazy", now, done, phase="absorb")
                     # The block's newest data now lives in Lazy SRAM, not
                     # media — the persistence checker marks it dirty until
                     # an eviction writeback lands.
-                    fa.note_lazy_absorb(block, done)
+                    h.faults.note_lazy_absorb(block, done)
                 for victim in self.lazy.absorb(block, now=done):
                     _, durable = self._ait_write_block(victim, 256, done)
                     done = max(done, durable)
-                    if fa.enabled:
-                        fa.note_lazy_writeback(victim, durable)
+                    if h.on:
+                        h.faults.note_lazy_writeback(victim, durable)
                 self._wc_drain_ps = done
                 return done
 
         start = self.engine.serve(now, t.engine_op_ps)
-        if self.flight.active:
-            self.flight.span("dimm.engine", now, start, phase="op")
+        if h.on:
+            h.flight.span("dimm.engine", now, start, phase="op")
         partial = nbytes < self.config.lsq.combine_bytes
         if partial:
             # Sub-256B store: read-modify-write.  The merge data comes
@@ -493,8 +492,9 @@ class NvramDimm:
         """Fence: flush pending combining state and drain the LSQ."""
         done = self._flush_wc(now)
         drain = self.lsq.drain_time(now)
-        if self.flight.active:
-            self.flight.span("dimm.lsq", now, drain, phase="drain")
+        h = self.hooks
+        if h.on:
+            h.flight.span("dimm.lsq", now, drain, phase="drain")
         return max(done, drain)
 
     # ------------------------------------------------------------------

@@ -40,6 +40,7 @@ class FunctionalMemory(TargetSystem):
     """
 
     def __init__(self, timing: Optional[VansSystem] = None) -> None:
+        super().__init__()
         self.timing = timing or VansSystem()
         self.name = f"functional-{self.timing.name}"
         #: durable contents (ADR domain and below — survives a crash)

@@ -19,6 +19,7 @@ from typing import List, Optional
 from repro.engine.queueing import FcfsStation, Server
 from repro.engine.request import CACHE_LINE
 from repro.engine.stats import StatsRegistry
+from repro.hooks import Hooks
 from repro.vans.config import VansConfig
 from repro.vans.dimm import NvramDimm
 from repro.vans.interleave import Interleaver
@@ -32,15 +33,12 @@ class IntegratedMemoryController:
 
     def __init__(self, config: VansConfig, stats: Optional[StatsRegistry] = None,
                  track_line_wear: bool = False, instrument=None,
-                 flight=None, faults=None) -> None:
-        from repro.faults.injector import NULL_FAULTS
-        from repro.flight.recorder import NULL_FLIGHT
+                 hooks: Optional[Hooks] = None) -> None:
         from repro.instrument import NULL_BUS
         self.config = config
         self.stats = stats or StatsRegistry()
         self.instrument = instrument if instrument is not None else NULL_BUS
-        self.flight = flight if flight is not None else NULL_FLIGHT
-        self.faults = faults if faults is not None else NULL_FAULTS
+        self.hooks = hooks if hooks is not None else Hooks()
         self.interleaver = Interleaver(
             config.ndimms, config.interleave_bytes, config.interleaved
         )
@@ -48,7 +46,7 @@ class IntegratedMemoryController:
             NvramDimm(config.dimm, stats=self.stats,
                       track_line_wear=track_line_wear,
                       instrument=self.instrument.scope(f"dimm{i}"),
-                      flight=self.flight, faults=self.faults)
+                      hooks=self.hooks)
             for i in range(config.ndimms)
         ]
         self.wpqs: List[FcfsStation] = [
@@ -68,8 +66,8 @@ class IntegratedMemoryController:
         self.ddrt = None
         if config.dimm.timing.ddrt_detailed:
             from repro.vans.ddrt import DdrtChannel
-            self.ddrt = [DdrtChannel(stats=self.stats, flight=self.flight,
-                                     faults=self.faults, channel=i)
+            self.ddrt = [DdrtChannel(stats=self.stats, hooks=self.hooks,
+                                     channel=i)
                          for i in range(config.ndimms)]
         self._c_reads = self.stats.counter("imc.reads")
         self._c_writes = self.stats.counter("imc.writes")
@@ -96,15 +94,14 @@ class IntegratedMemoryController:
     def read(self, addr: int, now: int) -> int:
         """Issue a 64B read; returns the time data reaches the core side."""
         self._c_reads.add()
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
+        h = self.hooks
         dimm_idx, local = self.interleaver.map(addr)
         rpq = self.rpqs[dimm_idx]
         start = rpq.admit(now)
-        fl = self.flight
-        if fl.active:
-            fl.span("imc.rpq", now, start, phase="wait", channel=dimm_idx)
+        if h.on:
+            h.faults.on_request(now)
+            h.flight.span("imc.rpq", now, start, phase="wait",
+                          channel=dimm_idx)
         if self.ddrt is not None:
             channel = self.ddrt[dimm_idx]
             cmd_done = channel.send_read_request(start)
@@ -112,11 +109,10 @@ class IntegratedMemoryController:
             done = channel.return_read_data(ready)
         else:
             hop = self._ddrt_request_ps
-            if fa.enabled:
-                hop += fa.link_extra_ps(dimm_idx, start, hop)
-            if fl.active:
-                fl.span("ddrt.link", start, start + hop,
-                        phase="request", channel=dimm_idx)
+            if h.on:
+                hop += h.faults.link_extra_ps(dimm_idx, start, hop)
+                h.flight.span("ddrt.link", start, start + hop,
+                              phase="request", channel=dimm_idx)
             done = self.dimms[dimm_idx].read_line(local, start + hop)
         rpq.retire_at(done)
         return done
@@ -129,19 +125,17 @@ class IntegratedMemoryController:
         line has been transferred into the DIMM LSQ.
         """
         self._c_writes.add()
-        fa = self.faults
-        if fa.enabled:
-            fa.on_request(now)
+        h = self.hooks
         dimm_idx, local = self.interleaver.map(addr)
         wpq = self.wpqs[dimm_idx]
         accept = wpq.admit(now)
-        fl = self.flight
-        if fl.active:
-            fl.span("imc.wpq", now, accept, phase="wait", channel=dimm_idx)
-        if fa.enabled:
+        if h.on:
+            h.faults.on_request(now)
+            h.flight.span("imc.wpq", now, accept, phase="wait",
+                          channel=dimm_idx)
             # WPQ admission is the ADR persistence point; the checker
             # audits this acknowledgement against any injected power cut.
-            fa.note_write(addr, now, accept)
+            h.faults.note_write(addr, now, accept)
         if self.ddrt is not None:
             channel = self.ddrt[dimm_idx]
             xfer_done = channel.send_write(accept)
@@ -150,12 +144,12 @@ class IntegratedMemoryController:
             channel.complete_write(lsq_admit)
         else:
             xfer_ps = self._wpq_xfer_ps
-            if fa.enabled:
-                xfer_ps += fa.link_extra_ps(dimm_idx, accept, xfer_ps)
+            if h.on:
+                xfer_ps += h.faults.link_extra_ps(dimm_idx, accept, xfer_ps)
             xfer_done = self.write_buses[dimm_idx].serve(accept, xfer_ps)
-            if fl.active:
-                fl.span("imc.write_bus", accept, xfer_done, phase="drain",
-                        channel=dimm_idx)
+            if h.on:
+                h.flight.span("imc.write_bus", accept, xfer_done,
+                              phase="drain", channel=dimm_idx)
             lsq_admit = self.dimms[dimm_idx].write_line(local, xfer_done,
                                                         nbytes)
         wpq.retire_at(max(lsq_admit, xfer_done))
@@ -183,14 +177,13 @@ class IntegratedMemoryController:
         """Drain every WPQ and DIMM LSQ; returns the global drain time."""
         self._c_fences.add()
         done = now
-        fl = self.flight
+        h = self.hooks
         for channel, (wpq, dimm) in enumerate(zip(self.wpqs, self.dimms)):
             wpq_done = wpq.drain_time(now)
-            if fl.active:
-                fl.span("imc.wpq", now, wpq_done, phase="drain",
-                        channel=channel)
+            if h.on:
+                h.flight.span("imc.wpq", now, wpq_done, phase="drain",
+                              channel=channel)
             done = max(done, wpq_done, dimm.flush(now))
-        fa = self.faults
-        if fa.enabled:
-            fa.note_fence(done)
+        if h.on:
+            h.faults.note_fence(done)
         return done

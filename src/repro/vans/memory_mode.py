@@ -30,19 +30,15 @@ class MemoryModeSystem(TargetSystem):
         dram_timing: DDR4Timing = DDR4_2666,
         dram_channels: int = 4,
         instrument=None,
-        flight=None,
-        faults=None,
     ) -> None:
-        from repro.faults.injector import NULL_FAULTS
-        from repro.flight.recorder import NULL_FLIGHT
         from repro.instrument import NULL_BUS
+        super().__init__()
         self.instrument = instrument if instrument is not None else NULL_BUS
-        self.flight = flight if flight is not None else NULL_FLIGHT
-        self.faults = faults if faults is not None else NULL_FAULTS
+        # the backing NVRAM records and injects with this system but
+        # never ticks: each request ticks once, here
         self.nvram = VansSystem(nvram_config,
                                 instrument=self.instrument.scope("nvram"),
-                                flight=self.flight,
-                                faults=self.faults)
+                                hooks=self.hooks.nested())
         self.dram = DramDevice(dram_timing, nchannels=dram_channels,
                                capacity_bytes=dram_capacity)
         self.dram_capacity = dram_capacity
@@ -89,10 +85,10 @@ class MemoryModeSystem(TargetSystem):
     def _access(self, addr: int, is_write: bool, now: int) -> int:
         """One 64B access through the DRAM cache.  Fault request ordinals
         are counted iMC-side, by the backing NVRAM system on a miss."""
-        fl = self.flight
-        if fl.enabled:
-            fl.begin("write" if is_write else "read", addr, CACHE_LINE,
-                     issue_ps=now)
+        h = self.hooks
+        if h.on:
+            h.flight.begin("write" if is_write else "read", addr, CACHE_LINE,
+                           issue_ps=now)
         index, tag = self._locate(addr)
         entry = self._tags.get(index)
         if entry is not None and entry[0] == tag:
@@ -106,12 +102,10 @@ class MemoryModeSystem(TargetSystem):
             start, phase = self._fill(index, tag, is_write, now), "fill"
             done = max(start, self.dram.access(addr % self.dram_capacity,
                                                True, start))
-        if fl.enabled:
-            fl.span("memmode.dram", start, done, phase=phase)
-            fl.end(done)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        if h.on:
+            h.flight.span("memmode.dram", start, done, phase=phase)
+            h.flight.end(done)
+            h.tick(done)
         return done
 
     def fence(self, now: int) -> int:

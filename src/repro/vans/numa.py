@@ -35,6 +35,7 @@ class NumaSystem(TargetSystem):
         link_line_ps: int = 3_500,  # ~18GB/s per direction
         stats: Optional[StatsRegistry] = None,
     ) -> None:
+        super().__init__()
         self.local = local
         self.remote = remote
         self.node_bytes = node_bytes

@@ -14,6 +14,7 @@ from typing import Optional
 from repro.common.units import align_down
 from repro.engine.request import CACHE_LINE
 from repro.engine.stats import StatsRegistry
+from repro.hooks import Hooks
 from repro.target import TargetSystem
 from repro.vans.config import VansConfig
 from repro.vans.imc import IntegratedMemoryController
@@ -24,19 +25,15 @@ class VansSystem(TargetSystem):
 
     def __init__(self, config: Optional[VansConfig] = None,
                  track_line_wear: bool = False, instrument=None,
-                 flight=None, faults=None) -> None:
-        from repro.faults.injector import NULL_FAULTS
-        from repro.flight.recorder import NULL_FLIGHT
+                 hooks: Optional[Hooks] = None) -> None:
         from repro.instrument import NULL_BUS
+        super().__init__(hooks)
         self.config = config or VansConfig()
         self.stats = StatsRegistry()
         self.instrument = instrument if instrument is not None else NULL_BUS
-        self.flight = flight if flight is not None else NULL_FLIGHT
-        self.faults = faults if faults is not None else NULL_FAULTS
         self.imc = IntegratedMemoryController(
             self.config, stats=self.stats, track_line_wear=track_line_wear,
-            instrument=self.instrument.scope("imc"), flight=self.flight,
-            faults=self.faults,
+            instrument=self.instrument.scope("imc"), hooks=self.hooks,
         )
         self.name = f"vans-{self.config.ndimms}dimm"
         self._hist_read = self.stats.histogram("vans.read_latency_ps")
@@ -56,46 +53,40 @@ class VansSystem(TargetSystem):
 
     def read(self, addr: int, now: int) -> int:
         issue = now + self._frontend_read_ps
-        fl = self.flight
-        if fl.enabled:
-            fl.begin("read", addr, CACHE_LINE, issue_ps=now)
-            fl.span("cpu.frontend", now, issue, phase="read")
+        h = self.hooks
+        if h.on:
+            h.flight.begin("read", addr, CACHE_LINE, issue_ps=now)
+            h.flight.span("cpu.frontend", now, issue, phase="read")
         done = self.imc.read(addr, issue)
-        if fl.enabled:
-            fl.end(done)
         if self._collect:
             self._hist_read.record(done - now)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        if h.on:
+            h.flight.end(done)
+            h.tick(done)
         return done
 
     def write(self, addr: int, now: int) -> int:
         issue = now + self._frontend_write_ps
-        fl = self.flight
-        if fl.enabled:
-            fl.begin("write", addr, CACHE_LINE, issue_ps=now)
-            fl.span("cpu.frontend", now, issue, phase="write")
+        h = self.hooks
+        if h.on:
+            h.flight.begin("write", addr, CACHE_LINE, issue_ps=now)
+            h.flight.span("cpu.frontend", now, issue, phase="write")
         accept = self.imc.write(addr, issue)
-        if fl.enabled:
-            fl.end(accept)
         if self._collect:
             self._hist_write.record(accept - now)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(accept)
+        if h.on:
+            h.flight.end(accept)
+            h.tick(accept)
         return accept
 
     def fence(self, now: int) -> int:
-        fl = self.flight
-        if fl.enabled:
-            fl.begin("fence", 0, 0, issue_ps=now)
+        h = self.hooks
+        if h.on:
+            h.flight.begin("fence", 0, 0, issue_ps=now)
         done = self.imc.fence(now)
-        if fl.enabled:
-            fl.end(done)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.tick(done)
+        if h.on:
+            h.flight.end(done)
+            h.tick(done)
         return done
 
     def warm_fill(self, start_addr: int, length: int) -> None:

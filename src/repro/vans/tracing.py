@@ -68,6 +68,7 @@ class TracingProxy(TargetSystem):
     """Record every operation while forwarding to a real target."""
 
     def __init__(self, target: TargetSystem) -> None:
+        super().__init__()
         self.target = target
         self.records: List[TraceRecord] = []
         self.name = f"traced-{target.name}"

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro import registry
 from repro.common.errors import SimulationError
 from repro.engine.event import Engine
 from repro.engine.request import Op, Request
+from repro.progress import ProgressReporter
+from repro.progress import session as progress_session
+from repro.telemetry import TelemetrySampler
+from repro.telemetry import session as telemetry_session
 from repro.vans import VansSystem
 from repro.vans.attach import AttachedMemory
 
@@ -73,3 +78,44 @@ def test_latency_stats(port):
     port.send(Request(addr=0, op=Op.READ, issue_ps=0))
     port.engine.run()
     assert port.mean_latency_ps > 0
+
+
+#: (op, addr) stream for the tick-count comparison below
+_TICK_STREAM = ([(Op.READ, i * 4096) for i in range(10)]
+                + [(Op.WRITE_NT, i * 64) for i in range(6)]
+                + [(Op.FENCE, 0)]
+                + [(Op.READ, i * 64) for i in range(4)])
+
+
+def _ticked_run(name, via_port):
+    """Chain ``_TICK_STREAM`` through a registry target, either as
+    requests through an :class:`AttachedMemory` port or as direct
+    read/write/fence calls; returns what the tick sinks saw."""
+    sampler = TelemetrySampler(interval_ps=50_000)
+    reporter = ProgressReporter(emit=lambda frame: None, interval_ps=50_000,
+                                min_wall_s=0.0, clock=lambda: 0.0)
+    with telemetry_session(sampler), progress_session(reporter):
+        system = registry.build(name)
+        port = AttachedMemory(Engine(), system)
+        now = 0
+        for op, addr in _TICK_STREAM:
+            if via_port:
+                assert port.send(Request(addr=addr, op=op, issue_ps=now))
+                now = port.engine.run()
+            elif op is Op.FENCE:
+                now = system.fence(now)
+            elif op.is_write:
+                now = system.write(addr, now)
+            else:
+                now = system.read(addr, now)
+    return reporter.done_requests, sampler.timeline.as_dict()
+
+
+@pytest.mark.parametrize("name", registry.target_names(systems_only=True))
+def test_port_requests_tick_once_like_direct_calls(name):
+    """A request sent through the port ticks the telemetry/progress
+    sinks exactly as the same direct call does: once."""
+    port_done, port_timeline = _ticked_run(name, via_port=True)
+    direct_done, direct_timeline = _ticked_run(name, via_port=False)
+    assert port_done == direct_done
+    assert port_timeline == direct_timeline

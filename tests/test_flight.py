@@ -275,11 +275,11 @@ class TestSession:
         fl = FlightRecorder()
         with session(fl):
             system = registry.build("vans")
-        assert system.flight is fl
+        assert system.hooks.flight is fl
 
     def test_plain_construction_stays_null(self):
         system = VansSystem()
-        assert system.flight is NULL_FLIGHT
+        assert system.hooks.flight is NULL_FLIGHT
 
 
 class TestVansWiring:

@@ -65,7 +65,7 @@ def test_telemetry_ticks_on_hits_and_misses(memmode):
         def tick(self, now_ps):
             ticks.append(now_ps)
 
-    memmode.telemetry = Telemetry()
+    memmode.hooks.set(ticks=[Telemetry()])
     now = 0
     for _ in range(50):
         now = memmode.read(0, now)

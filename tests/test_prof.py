@@ -49,11 +49,6 @@ class TestNullProfiler:
         NULL_PROF.instrument(object())
         NULL_PROF.uninstrument_all()
 
-    def test_targets_carry_null_prof_class_side(self):
-        system = VansSystem()
-        assert system.prof is NULL_PROF
-        assert "prof" not in system.__dict__
-
     def test_no_session_means_null_current(self):
         assert current() is NULL_PROF
 

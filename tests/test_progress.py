@@ -5,9 +5,9 @@ the payload a run without one does).
 
 from __future__ import annotations
 
+from repro.hooks import Hooks
 from repro.progress import (NULL_PROGRESS, SNAPSHOT_KEY_CAP,
-                            ProgressReporter, TelemetryFanout, current,
-                            session)
+                            ProgressReporter, current, session)
 
 
 class FakeClock:
@@ -149,34 +149,36 @@ class TestSession:
         assert NULL_PROGRESS.enabled is False
 
 
-class TestTelemetryFanout:
+class TestHooksTickFanout:
     def test_forwards_to_enabled_sinks_only(self):
+        order = []
+
         class Sink:
             enabled = True
 
-            def __init__(self):
+            def __init__(self, name):
+                self.name = name
                 self.ticks = []
 
             def tick(self, now_ps):
                 self.ticks.append(now_ps)
-
-            def attach(self, system):
-                pass
-
-            def finalize(self):
-                self.ticks.append("end")
+                order.append(self.name)
 
         class Disabled(Sink):
             enabled = False
 
-        a, b, dead = Sink(), Sink(), Disabled()
-        fan = TelemetryFanout(a, b, dead)
-        assert fan.enabled
-        fan.tick(7)
-        fan.tick(9)
-        fan.finalize()
-        assert a.ticks == b.ticks == [7, 9, "end"]
+        a, b, dead = Sink("a"), Sink("b"), Disabled("dead")
+        hooks = Hooks()
+        hooks.set(ticks=[a, b, dead])
+        assert hooks.on
+        assert hooks.ticks == (a, b)
+        hooks.tick(7)
+        hooks.tick(9)
+        assert a.ticks == b.ticks == [7, 9]
+        assert order == ["a", "b", "a", "b"]
         assert dead.ticks == []
+        hooks.set()
+        assert not hooks.on and hooks.ticks == ()
 
 
 class TestIntegration:

@@ -116,7 +116,7 @@ class TestWarmCachePolicy:
         recorder = FlightRecorder()
         with flight_session(recorder):
             system = registry.build("vans")
-        assert system.flight is recorder
+        assert system.hooks.flight is recorder
         assert registry.release(system) is False
         assert registry.warm_cache_stats()["ineligible"] == 1
 
@@ -138,15 +138,14 @@ class TestWarmCachePolicy:
                                 frontend_ps=30_000) is system
 
     def test_release_detaches_telemetry(self):
-        from repro.target import NULL_TELEMETRY
         from repro.telemetry import TelemetrySampler
         from repro.telemetry import session as telemetry_session
         registry.enable_warm_cache(limit=4)
         with telemetry_session(TelemetrySampler(interval_ps=10_000)):
             system = registry.build("vans")
-            assert system.telemetry is not NULL_TELEMETRY
+            assert system.hooks.ticks != ()
         registry.release(system)
-        assert system.telemetry is NULL_TELEMETRY
+        assert system.hooks.ticks == ()
 
 
 class TestOverrideValidation:

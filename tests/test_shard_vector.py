@@ -120,8 +120,8 @@ def test_instrumented_media_refuses_vector_path():
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
     injector = FaultInjector(FaultPlan(specs=(), seed=1))
-    media = XPointMedia(XPointConfig(capacity_bytes=1 << 20),
-                        faults=injector)
+    media = XPointMedia(XPointConfig(capacity_bytes=1 << 20))
+    media.hooks.set(faults=injector)
     with pytest.raises(ValueError, match="uninstrumented"):
         media_access_batch(media, [0], [True], [0])
 

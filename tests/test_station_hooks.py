@@ -1,14 +1,15 @@
 """Hook contract over every registry target.
 
-Each station has one implementation per request method, with inline
-``enabled``/``active`` guards for the flight, telemetry and fault hooks.
-Two properties follow and are checked here for every system target:
+Each station has one implementation per request method and tests one
+slot, ``hooks.on``, of its system's shared :class:`~repro.hooks.Hooks`
+bundle per hook point.  Two properties follow and are checked here for
+every system target:
 
 * attaching hooks never perturbs simulated time — a mixed
   read/write/write_nt/fence stream completes at identical times bare and
   under flight + telemetry + empty-fault-plan sessions;
-* a hook assigned after the system was built is honoured — nothing
-  fixes a method binding at build time.
+* a hook set after the system was built is honoured — nothing fixes a
+  method binding at build time.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def test_hooks_never_perturb_timing(name, overrides):
     with flight_session(recorder), telemetry_session(sampler), \
             faults_session(injector):
         system = registry.build(name, **overrides)
-        assert system.flight is recorder
-        assert system.telemetry is sampler
-        assert system.faults is injector
+        assert system.hooks.flight is recorder
+        assert system.hooks.ticks == (sampler,)
+        assert system.hooks.faults is injector
         hooked = _drive(system)
     assert hooked == bare
     assert injector.requests > 0
@@ -88,7 +89,7 @@ def test_hooks_never_perturb_timing(name, overrides):
 def test_telemetry_assigned_after_build_ticks_per_request(name, overrides):
     system = registry.build(name, **overrides)
     telemetry = _CountingTelemetry()
-    system.telemetry = telemetry
+    system.hooks.set(ticks=[telemetry])
     stream = [(op, addr) for op, addr in STREAM if op != "fence"]
     _drive(system, stream)
     assert telemetry.ticks == len(stream)

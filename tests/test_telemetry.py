@@ -39,8 +39,8 @@ class TestNullTelemetry:
         assert current() is NULL_TELEMETRY
 
     def test_class_default_on_every_target(self):
-        assert registry.build("vans").telemetry is NULL_TELEMETRY
-        assert registry.build("pmep").telemetry is NULL_TELEMETRY
+        assert registry.build("vans").hooks.ticks == ()
+        assert registry.build("pmep").hooks.ticks == ()
 
 
 class TestSamplerBasics:
@@ -48,7 +48,7 @@ class TestSamplerBasics:
         sampler = TelemetrySampler(interval_ps=1_000)
         with session(sampler):
             system = registry.build("vans")
-            assert system.telemetry is sampler
+            assert system.hooks.ticks == (sampler,)
             for i in range(50):
                 system.read(i * 64, i * 100)
         assert len(sampler.timeline) > 0
