@@ -102,6 +102,10 @@ class DramController:
         t = self.timing
         while self._next_refresh_due <= now:
             start = max(self._next_refresh_due, self._blocked_until_ps)
+            if self._closed:
+                # each access's closing PRE may still be pending; tRC =
+                # tRAS + tRP makes its PRE + tRP the bank's next ACT
+                start = max(start, max(b.act_ready_ps for b in self._banks))
             # All banks must be precharged before REF.
             for bank_id, bank in enumerate(self._banks):
                 if bank.open_row is not None:

@@ -1,7 +1,7 @@
 """Host-side wall-clock profiler for the simulator itself.
 
 ``repro.prof`` attributes the *host's* wall time (where the Python
-process spends its cycles) per station/event-handler callsite — the
+process spends its cycles) per station callsite — the
 complement of the flight recorder, which attributes *simulated*
 nanoseconds.  Outside a profiling session the current profiler is the
 no-op :data:`NULL_PROF` and nothing is wrapped; inside one, the

@@ -8,15 +8,11 @@ elapsed minus the time spent in child frames; cumulative time is
 recursion-safe (a key already open further up the stack does not
 double-count).
 
-Two attachment surfaces exist:
-
-* :meth:`Profiler.instrument` wraps the methods a target system names
-  in its ``profile_points()`` protocol.  Wrapping happens *instance*-
-  side over the class methods every run executes, so timings stay
-  representative of unprofiled runs; uninstrumenting deletes the
-  wrappers and the class methods show through again.
-* ``engine.profiler = prof`` routes the event engine through its
-  profiled dispatch replica, attributing each callback by qualname.
+:meth:`Profiler.instrument` wraps the methods a target system names
+in its ``profile_points()`` protocol.  Wrapping happens *instance*-side
+over the class methods every run executes, so timings stay
+representative of unprofiled runs; uninstrumenting deletes the wrappers
+and the class methods show through again.
 
 Sessions use the shared :class:`~repro.common.session.SessionStack`:
 ``session(prof)`` makes the profiler visible to ``registry.build()``
@@ -80,7 +76,6 @@ class Profiler:
         #: (owner, method name, installed wrapper) records for removal
         self._wrapped: List[Tuple[Any, str, Any]] = []
         self._systems: List[Any] = []
-        self._engines: List[Any] = []
 
     # ------------------------------------------------------------------
     # hot path
@@ -181,11 +176,6 @@ class Profiler:
             d["_prof_wrapped"] = True
             self._systems.append(system)
 
-    def attach_engine(self, engine: Any) -> None:
-        """Route an event engine through its profiled dispatch."""
-        engine.profiler = self
-        self._engines.append(engine)
-
     def uninstrument_all(self) -> None:
         """Delete every wrapper this profiler installed.
 
@@ -204,10 +194,6 @@ class Profiler:
                 d.pop("prof", None)
                 d.pop("_prof_wrapped", None)
         self._systems.clear()
-        for engine in self._engines:
-            if getattr(engine, "profiler", None) is self:
-                engine.profiler = None
-        self._engines.clear()
 
     # ------------------------------------------------------------------
     # export

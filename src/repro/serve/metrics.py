@@ -248,55 +248,6 @@ def render_prometheus(doc: Dict[str, Any]) -> str:
                          "hits / (hits + misses) across workers.")
                 w.sample("repro_serve_warm_cache_hit_ratio",
                          hits / (hits + misses))
-        kernel = pool.get("kernel") or {}
-        if kernel:
-            w.family("repro_kernel_engines", "gauge",
-                     "Live event engines across workers.")
-            w.sample("repro_kernel_engines", kernel.get("engines", 0))
-            w.family("repro_kernel_events_total", "counter",
-                     "Event callbacks dispatched across workers.")
-            w.sample("repro_kernel_events_total", kernel.get("events", 0))
-            w.family("repro_kernel_pool_events_total", "counter",
-                     "Event-pool allocations by outcome (hit = recycled).")
-            for outcome, key in (("hit", "pool_hits"),
-                                 ("miss", "pool_misses")):
-                w.sample("repro_kernel_pool_events_total",
-                         kernel.get(key, 0), {"outcome": outcome})
-            w.family("repro_kernel_pool_hit_ratio", "gauge",
-                     "Recycled events / scheduled events.")
-            w.sample("repro_kernel_pool_hit_ratio",
-                     kernel.get("pool_hit_rate", 0.0))
-            w.family("repro_kernel_far_migrations_total", "counter",
-                     "Far-heap events migrated into calendar buckets.")
-            w.sample("repro_kernel_far_migrations_total",
-                     kernel.get("far_migrations", 0))
-            w.family("repro_kernel_compactions_total", "counter",
-                     "Lazy-deletion compaction passes.")
-            w.sample("repro_kernel_compactions_total",
-                     kernel.get("compactions", 0))
-            w.family("repro_kernel_compacted_entries_total", "counter",
-                     "Cancelled entries removed by compaction.")
-            w.sample("repro_kernel_compacted_entries_total",
-                     kernel.get("compacted_entries", 0))
-            w.family("repro_kernel_singleton_dispatches_total", "counter",
-                     "Events dispatched via the singleton fast lane.")
-            w.sample("repro_kernel_singleton_dispatches_total",
-                     kernel.get("singleton_dispatches", 0))
-            for gauge, help_text in (
-                    ("pending", "Pending events across live engines."),
-                    ("pooled", "Recycled events parked for reuse."),
-                    ("buckets", "Occupied calendar buckets."),
-                    ("far_events", "Events parked on far-future heaps.")):
-                name = f"repro_kernel_{gauge}"
-                w.family(name, "gauge", help_text)
-                w.sample(name, kernel.get(gauge, 0))
-            hist = kernel.get("batch_hist") or {}
-            if hist:
-                w.family("repro_kernel_batch_dispatches_total", "counter",
-                         "Opened calendar buckets by batch size range.")
-                for label in sorted(hist):
-                    w.sample("repro_kernel_batch_dispatches_total",
-                             hist[label], {"batch_size": label})
 
     jobs = doc.get("jobs")
     if jobs is not None:

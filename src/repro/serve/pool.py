@@ -137,8 +137,6 @@ def _worker_main(conn, warm_cache_limit: int) -> None:
         try:
             payload = _execute_job(job, emit_progress)
             payload["warm_cache"] = registry.warm_cache_stats()
-            from repro.engine.event import aggregate_kernel_stats
-            payload["kernel"] = aggregate_kernel_stats()
             payload["worker_pid"] = pid
             message: Outcome = ("ok", payload)
         except ReproError as exc:
@@ -167,8 +165,6 @@ class _Worker:
         self.jobs_done = 0
         #: last cumulative warm-cache stats doc this worker reported
         self.warm_cache: Dict[str, int] = {}
-        #: last cumulative kernel-health stats doc this worker reported
-        self.kernel: Dict[str, Any] = {}
         self._spawn()
         self.thread = threading.Thread(
             target=self._loop, name=f"serve-worker-{index}", daemon=True)
@@ -187,7 +183,6 @@ class _Worker:
         self.pool.stats["respawned"] += 1
         # the fresh process starts with a cold warm cache by design
         self.warm_cache = {}
-        self.kernel = {}
 
     def _loop(self) -> None:
         while True:
@@ -246,8 +241,6 @@ class _Worker:
                 payload = message[1]
                 if isinstance(payload, dict) and "warm_cache" in payload:
                     self.warm_cache = dict(payload["warm_cache"])
-                if isinstance(payload, dict) and "kernel" in payload:
-                    self.kernel = dict(payload["kernel"])
             return message
 
 
@@ -344,24 +337,6 @@ class WorkerPool:
                 for key, value in worker.warm_cache.items():
                     warm[key] = warm.get(key, 0) + int(value)
             snap["warm_cache"] = warm
-            # engine kernel health, summed across workers (same
-            # cumulative-per-process semantics as the warm cache)
-            kernel: Dict[str, Any] = {}
-            hist: Dict[str, int] = {}
-            for worker in self._workers:
-                for key, value in worker.kernel.items():
-                    if key == "batch_hist":
-                        for label, count in dict(value).items():
-                            hist[label] = hist.get(label, 0) + int(count)
-                    elif isinstance(value, (int, float)):
-                        kernel[key] = kernel.get(key, 0) + value
-            if kernel or hist:
-                scheduled = kernel.get("scheduled", 0)
-                kernel["pool_hit_rate"] = (
-                    kernel.get("pool_hits", 0) / scheduled
-                    if scheduled else 0.0)
-                kernel["batch_hist"] = hist
-            snap["kernel"] = kernel
             snap["worker_states"] = [
                 {"index": w.index, "pid": w.child.pid,
                  "alive": w.child.is_alive(), "busy": w.busy,

@@ -1,4 +1,4 @@
-"""Deterministic per-DIMM sharding of a VANS run (the second kernel leap).
+"""Deterministic per-DIMM sharding of a VANS run.
 
 The iMC keeps one WPQ/RPQ/write-bus/DIMM stack per channel, and the
 channels interact *only* at fences (``IntegratedMemoryController.fence``
@@ -22,8 +22,8 @@ Layout:
   merge algebra (associative and order-independent);
 * :mod:`repro.shard.executor` — serial, in-process-sharded, and
   forked-worker execution with the epoch barrier protocol;
-* :mod:`repro.shard.bench` — kernel-suite cases gated by
-  ``repro-bench --suite kernel``.
+* :mod:`repro.shard.bench` — the ``shard.*`` cases that
+  ``repro-bench --suite kernel`` times and gates.
 
 The session default below is how ``--shards N`` travels from the CLIs
 into :func:`repro.experiments.exec.run_stream` without touching every

@@ -1,12 +1,11 @@
 """Kernel-suite cases for the sharded + vectorized execution path.
 
-Same contract as :mod:`repro.engine.kernelbench` (the PR 5 calendar
-kernel): the legacy side — the serial scalar path every run before this
-used — and the optimized side — the sharded, numpy-vectorized path —
-execute the identical deterministic workload back-to-back, their merged
-documents must agree byte-for-byte (a mismatch raises, it is never a
-perf number), and ``repro-bench --suite kernel`` gates ``speedup >= 1``
-relative to the same run, keeping the gate machine-independent.
+The legacy side — the one-shard scalar path — and the optimized side —
+the sharded, numpy-vectorized path — execute the identical
+deterministic workload back-to-back, their merged documents must agree
+byte-for-byte (a mismatch raises, it is never a perf number), and
+``repro-bench --suite kernel`` gates ``speedup >= 1`` relative to the
+same run, keeping the gate machine-independent.
 
 Cases run the shards in-process: on a single-CPU runner forked workers
 cannot win, so the gated speedup comes from the structural change (the
@@ -32,12 +31,11 @@ from repro.shard.stream import synthetic_stream
 SMOKE_REQUESTS = 49152
 PAPER_MULTIPLIER = 8
 
-#: best-of repeats per side (same policy as the calendar kernel bench)
+#: best-of repeats per side
 REPEATS = 3
 
-#: case -> workload + target shape.  ``ddrt_burst`` mirrors the
-#: calendar-kernel case of the same name: bursts of near-simultaneous
-#: requests striped across the interleave granules.
+#: case -> workload + target shape.  ``ddrt_burst``: bursts of
+#: near-simultaneous requests striped across the interleave granules.
 CASES: Dict[str, Dict[str, object]] = {
     "ddrt_burst": {
         "kind": "burst",
@@ -86,7 +84,8 @@ def run_shard_bench(nrequests: int = SMOKE_REQUESTS, seed: int = 0,
                     shards: Optional[int] = None,
                     cases: Optional[Mapping[str, Mapping[str, object]]] = None
                     ) -> Dict[str, Dict[str, object]]:
-    """Run every case; returns kernelbench-shaped numbers per case.
+    """Run every case; returns per-case numbers for both sides (wall
+    seconds, requests/s, ``speedup``, the checksum and the shard plan).
 
     ``shards`` overrides each case's shard count (the ``repro-bench
     --shards`` knob).  Raises when the sharded+vectorized document

@@ -4,8 +4,7 @@ The scalar paths (:meth:`repro.engine.queueing.Server.serve`,
 :meth:`repro.media.xpoint.XPointMedia.access`) stay authoritative; the
 kernels here compute the *identical* integer timings for a whole batch
 at once and leave the server/counter state exactly as the equivalent
-scalar loop would — the same contract the PR 5 calendar-queue kernel
-established, enforced by checksum cross-checks in ``repro-bench
+scalar loop would, enforced by checksum cross-checks in ``repro-bench
 --suite kernel`` and ``repro-shard crosscheck``.
 
 The FCFS recurrence ``c_i = max(a_i, c_{i-1}) + s_i`` vectorizes as a

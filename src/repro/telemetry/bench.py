@@ -29,8 +29,8 @@ from repro.experiments.common import Scale
 from repro.telemetry.manifest import MANIFEST_SCHEMA, run_manifest
 
 #: bench document version (bump on breaking key changes).  /2 adds a
-#: per-entry ``kernel_stats`` snapshot to the kernel suite; /1
-#: documents remain valid baselines (the extra key is never gated).
+#: per-entry ``kernel_stats`` key (the shard plan) to the kernel suite;
+#: /1 documents remain valid baselines (the extra key is never gated).
 BENCH_SCHEMA = "repro.bench/2"
 
 #: schemas accepted as baselines by :func:`validate_bench`
@@ -55,9 +55,9 @@ SUITES: Dict[str, Tuple[str, ...]] = {
     "lens": ("fig5", "fig6", "fig7"),
     # everything in the registry
     "full": (),
-    # simulation-kernel microbenchmarks: optimized calendar kernel vs
-    # the seed binary heap on identical deterministic workloads (not
-    # experiment ids — handled by run_suite directly)
+    # the shard plane: sharded + vectorized vs the one-shard scalar
+    # path on identical deterministic streams (not experiment ids —
+    # handled by run_suite directly)
     "kernel": (),
 }
 
@@ -69,10 +69,8 @@ def suite_ids(suite: str) -> List[str]:
         raise KeyError(
             f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
     if suite == "kernel":
-        from repro.engine.kernelbench import CASES
-        from repro.shard.bench import CASES as SHARD_CASES
-        return [f"kernel.{case}" for case in CASES] \
-            + [f"shard.{case}" for case in SHARD_CASES]
+        from repro.shard.bench import CASES
+        return [f"shard.{case}" for case in CASES]
     ids = SUITES[suite]
     return validate_ids(list(ids)) if ids else list(REGISTRY)
 
@@ -93,6 +91,42 @@ def _peak_rss_kb() -> Optional[int]:
 def _count_requests(instrumentation: Mapping[str, object]) -> int:
     return int(sum(instrumentation.get(key, 0) or 0
                    for key in REQUEST_KEYS))
+
+
+def _error_entry(start: float) -> Dict[str, object]:
+    """Zeroed entry for a crashed experiment, with its traceback."""
+    return {
+        "wall_s": round(time.time() - start, 4),
+        "requests": 0,
+        "requests_per_s": 0.0,
+        "metrics": {},
+        "error": traceback.format_exc(),
+    }
+
+
+def _document(suite: str, scale: Scale, seed: int, completed: bool,
+              config: Optional[Mapping[str, object]],
+              experiments: Dict[str, object], total_wall: float,
+              total_requests: int) -> Dict[str, object]:
+    """The bench document around a suite's experiment entries."""
+    return {
+        "schema": BENCH_SCHEMA,
+        "suite": suite,
+        "scale": scale.value,
+        "seed": seed,
+        "completed": completed,
+        "manifest": run_manifest(
+            seed=seed,
+            config=dict(config or {}, suite=suite, scale=scale.value)),
+        "experiments": experiments,
+        "totals": {
+            "wall_s": round(total_wall, 4),
+            "requests": total_requests,
+            "requests_per_s": round(total_requests / total_wall, 2)
+            if total_wall > 0 else 0.0,
+            "peak_rss_kb": _peak_rss_kb(),
+        },
+    }
 
 
 def run_suite(suite: str, scale: Scale = Scale.SMOKE,
@@ -124,13 +158,7 @@ def run_suite(suite: str, scale: Scale = Scale.SMOKE,
             results = run_experiment(exp_id, scale, base_seed)
         except Exception:
             completed = False
-            experiments[exp_id] = {
-                "wall_s": round(time.time() - start, 4),
-                "requests": 0,
-                "requests_per_s": 0.0,
-                "metrics": {},
-                "error": traceback.format_exc(),
-            }
+            experiments[exp_id] = _error_entry(start)
             continue
         wall_s = time.time() - start
         requests = _count_requests(results[0].instrumentation) \
@@ -151,52 +179,28 @@ def run_suite(suite: str, scale: Scale = Scale.SMOKE,
         }
         total_wall += wall_s
         total_requests += requests
-    doc: Dict[str, object] = {
-        "schema": BENCH_SCHEMA,
-        "suite": suite,
-        "scale": scale.value,
-        "seed": base_seed,
-        "completed": completed,
-        "manifest": run_manifest(
-            seed=base_seed,
-            config=dict(config or {}, suite=suite, scale=scale.value)),
-        "experiments": experiments,
-        "totals": {
-            "wall_s": round(total_wall, 4),
-            "requests": total_requests,
-            "requests_per_s": round(total_requests / total_wall, 2)
-            if total_wall > 0 else 0.0,
-            "peak_rss_kb": _peak_rss_kb(),
-        },
-    }
-    return doc
+    return _document(suite, scale, base_seed, completed, config,
+                     experiments, total_wall, total_requests)
 
 
 def _run_kernel_suite(scale: Scale, seed: int,
                       config: Optional[Mapping[str, object]]
                       ) -> Dict[str, object]:
-    """Bench document for the simulation-kernel microbenchmarks.
+    """Bench document for the kernel suite: the shard plane's cases.
 
-    Each case is one pseudo-experiment ``kernel.<case>``: the standard
-    ``wall_s``/``requests``/``requests_per_s`` report the *optimized*
-    kernel (so the continuous baseline tracks what production runs use),
-    while the entry additionally carries the legacy-heap numbers from
-    the same run and the same-runner ``speedup`` — which is what the CI
-    relative gate checks (see ``repro-bench``'s kernel gate), keeping
-    the pass/fail machine-independent.  The only gated *metric* is the
-    deterministic firing-order checksum: both kernels must produce it
-    identically here, and any cross-commit drift means event ordering
-    changed.
+    Each case is one pseudo-experiment ``shard.<case>``: the standard
+    ``wall_s``/``requests``/``requests_per_s`` report the sharded,
+    vectorized path, while the entry additionally carries the one-shard
+    scalar path's numbers from the same run and the same-runner
+    ``speedup`` — which is what the relative gate checks (see
+    :func:`kernel_gate`), keeping the pass/fail machine-independent.
+    The only gated *metric* is the deterministic merged-document
+    checksum: both paths must produce it identically here, and any
+    cross-commit drift means the simulated stream changed.
     """
-    from repro.engine.kernelbench import (
-        PAPER_MULTIPLIER,
-        SMOKE_EVENTS,
-        run_kernel_bench,
-    )
-    from repro.shard.bench import PAPER_MULTIPLIER as SHARD_MULTIPLIER
-    from repro.shard.bench import SMOKE_REQUESTS as SHARD_REQUESTS
+    from repro.shard.bench import PAPER_MULTIPLIER, SMOKE_REQUESTS
     from repro.shard.bench import run_shard_bench
-    nevents = SMOKE_EVENTS * (
+    nrequests = SMOKE_REQUESTS * (
         PAPER_MULTIPLIER if scale is Scale.PAPER else 1)
     experiments: Dict[str, object] = {}
     total_wall = 0.0
@@ -204,89 +208,47 @@ def _run_kernel_suite(scale: Scale, seed: int,
     completed = True
     start = time.time()
     try:
-        cases = {f"kernel.{case}": numbers for case, numbers
-                 in run_kernel_bench(nevents=nevents, seed=seed).items()}
+        cases = run_shard_bench(nrequests=nrequests, seed=seed,
+                                shards=(config or {}).get("shards"))
     except Exception:
         completed = False
-        experiments["kernel"] = {
-            "wall_s": round(time.time() - start, 4),
-            "requests": 0,
-            "requests_per_s": 0.0,
-            "metrics": {},
-            "error": traceback.format_exc(),
-        }
+        experiments["shard"] = _error_entry(start)
         cases = {}
-    # the sharded+vectorized execution path, same legacy-vs-optimized
-    # contract (serial scalar authoritative, bit-identity enforced)
-    shard_requests = SHARD_REQUESTS * (
-        SHARD_MULTIPLIER if scale is Scale.PAPER else 1)
-    start = time.time()
-    try:
-        shards = (config or {}).get("shards")
-        cases.update(
-            {f"shard.{case}": numbers for case, numbers
-             in run_shard_bench(nrequests=shard_requests, seed=seed,
-                                shards=shards).items()})
-    except Exception:
-        completed = False
-        experiments["shard"] = {
-            "wall_s": round(time.time() - start, 4),
-            "requests": 0,
-            "requests_per_s": 0.0,
-            "metrics": {},
-            "error": traceback.format_exc(),
-        }
     for case, numbers in cases.items():
         wall_s = float(numbers["optimized_wall_s"])
         events = int(numbers["events"])
-        experiments[case] = {
+        experiments[f"shard.{case}"] = {
             "wall_s": round(wall_s, 4),
             "requests": events,
             "requests_per_s": round(float(numbers["optimized_events_per_s"]),
                                     2),
             "metrics": {
-                f"{case}.order_checksum":
+                f"shard.{case}.order_checksum":
                     float(numbers["order_checksum"]),
             },
             "legacy_wall_s": round(float(numbers["legacy_wall_s"]), 4),
             "legacy_events_per_s": round(
                 float(numbers["legacy_events_per_s"]), 2),
             "speedup": round(float(numbers["speedup"]), 3),
-            # engine health snapshot (bucket occupancy, far migrations,
-            # compactions, pool hit rate, batch histogram) — recorded
+            # the shard plan (engine, shard count, epochs) — recorded
             # for observability, never gated: diff_bench only compares
             # metrics/requests/wall_s/requests_per_s
-            "kernel_stats": numbers.get("kernel_stats", {}),
+            "kernel_stats": numbers["kernel_stats"],
         }
         total_wall += wall_s
         total_requests += events
-    return {
-        "schema": BENCH_SCHEMA,
-        "suite": "kernel",
-        "scale": scale.value,
-        "seed": seed,
-        "completed": completed,
-        "manifest": run_manifest(
-            seed=seed,
-            config=dict(config or {}, suite="kernel", scale=scale.value)),
-        "experiments": experiments,
-        "totals": {
-            "wall_s": round(total_wall, 4),
-            "requests": total_requests,
-            "requests_per_s": round(total_requests / total_wall, 2)
-            if total_wall > 0 else 0.0,
-            "peak_rss_kb": _peak_rss_kb(),
-        },
-    }
+    return _document("kernel", scale, seed, completed, config,
+                     experiments, total_wall, total_requests)
 
 
 def kernel_gate(doc: Mapping[str, object]) -> List[str]:
     """Same-runner relative gate for a kernel-suite document.
 
-    Returns one violation line per case where the optimized kernel was
-    *slower* than the legacy heap in the same run (``speedup < 1``).
-    Both kernels ran back-to-back on the same machine, so this gate is
-    load- and hardware-independent in a way absolute thresholds are not.
+    Returns one violation line per case where the sharded, vectorized
+    path was *slower* than the one-shard scalar path in the same run
+    (``speedup < 1``).  Both paths ran back-to-back on the same
+    machine, so this gate is load- and hardware-independent in a way
+    absolute thresholds are not.
     """
     violations: List[str] = []
     experiments = doc.get("experiments", {})
@@ -299,10 +261,10 @@ def kernel_gate(doc: Mapping[str, object]) -> List[str]:
         speedup = entry["speedup"]
         if isinstance(speedup, (int, float)) and speedup < 1.0:
             violations.append(
-                f"{exp_id}: optimized kernel slower than legacy heap "
-                f"(speedup {speedup:.3f}x, "
+                f"{exp_id}: sharded path slower than the one-shard "
+                f"scalar path (speedup {speedup:.3f}x, "
                 f"{entry.get('requests_per_s', 0):.0f} vs "
-                f"{entry.get('legacy_events_per_s', 0):.0f} events/s)")
+                f"{entry.get('legacy_events_per_s', 0):.0f} requests/s)")
     return violations
 
 

@@ -12,8 +12,10 @@ Each run writes ``BENCH_<date>.json`` (schema ``repro.bench/2``): per
 experiment wall seconds, simulated requests, requests/sec, and the
 experiment's model-output metrics; plus run totals (peak RSS included)
 and a full run manifest (git SHA, config hash, seeds, environment).
-Kernel-suite entries additionally carry the engine's ``kernel_stats()``
-health snapshot (never gated — context for diagnosing a perf exit 3).
+Kernel-suite entries (the shard plane's ``shard.*`` cases) additionally
+carry the one-shard scalar path's numbers, the same-run ``speedup`` and
+the shard plan under ``kernel_stats`` (never gated — context for
+diagnosing a perf exit 3).
 
 The fresh run is diffed against the latest prior ``BENCH_*.json`` in the
 output directory (or ``--baseline``).  Exit codes: ``0`` ok / no
@@ -185,17 +187,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PARTIAL
 
     if args.suite == "kernel":
-        # Same-runner relative gate: both kernels were timed back to
-        # back in this very run, so "optimized must not be slower than
-        # the legacy heap" holds on any machine at any load.
-        summary += ["", "| case | optimized ev/s | legacy ev/s | speedup |",
+        # Same-runner relative gate: both paths were timed back to back
+        # in this very run, so "sharded must not be slower than the
+        # one-shard scalar path" holds on any machine at any load.
+        summary += ["", "| case | sharded req/s | scalar req/s | speedup |",
                     "|---|---:|---:|---:|"]
         for exp_id in sorted(doc["experiments"]):
             entry = doc["experiments"][exp_id]
             if "speedup" in entry:
-                print(f"  {exp_id}: {entry['requests_per_s']:.0f} ev/s "
-                      f"optimized vs {entry['legacy_events_per_s']:.0f} "
-                      f"ev/s legacy ({entry['speedup']:.2f}x)")
+                print(f"  {exp_id}: {entry['requests_per_s']:.0f} req/s "
+                      f"sharded vs {entry['legacy_events_per_s']:.0f} "
+                      f"req/s one-shard scalar ({entry['speedup']:.2f}x)")
                 summary.append(
                     f"| {exp_id} | {entry['requests_per_s']:.0f} "
                     f"| {entry['legacy_events_per_s']:.0f} "
@@ -203,17 +205,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.gate != "none":
             slower = kernel_gate(doc)
             if slower:
-                print(f"\nREGRESSION: optimized kernel slower than the "
-                      f"legacy heap in {len(slower)} case(s)",
+                print(f"\nREGRESSION: sharded path slower than the "
+                      f"one-shard scalar path in {len(slower)} case(s)",
                       file=sys.stderr)
                 for line in slower:
                     print(f"  {line}", file=sys.stderr)
-                summary.append(f"\n**REGRESSION**: optimized kernel slower "
-                               f"than legacy in {len(slower)} case(s)")
+                summary.append(f"\n**REGRESSION**: sharded path slower "
+                               f"than one-shard scalar in {len(slower)} "
+                               f"case(s)")
                 _append_summary(args.summary, summary)
                 return EXIT_REGRESSION
-            print("kernel gate: optimized >= legacy in every case")
-            summary.append("\nkernel gate: optimized >= legacy in "
+            print("kernel gate: sharded >= one-shard scalar in every case")
+            summary.append("\nkernel gate: sharded >= one-shard scalar in "
                            "every case ✓")
 
     if baseline_path is None:

@@ -1,22 +1,17 @@
 """``repro-prof``: host wall-clock profiling for the simulator itself.
 
-Four subcommands:
+Two subcommands:
 
 * ``run <experiment>`` — run any registry experiment under the
   profiler and print a top-N self-time table (where the *host's* wall
   time went, per station callsite);
-* ``kernel <case>`` — profile a ``repro-bench --suite kernel``
-  workload on the optimized engine, attributing per-handler dispatch;
 * ``diff a.json b.json`` — compare two profile documents and name the
-  handlers that moved (turns a bench exit-3 perf regression into a
-  diagnosis);
-* ``health`` — engine kernel-health snapshot scraped from a running
-  serve daemon.
+  callsites that moved (turns a bench exit-3 perf regression into a
+  diagnosis).
 
-``run``/``kernel`` export the deterministic ``repro.prof/1`` JSON plus
+``run`` exports the deterministic ``repro.prof/1`` JSON plus
 speedscope, collapsed-stack, and Chrome-trace renderings.  Exit codes:
-0 ok, 2 usage / unreachable daemon, 3 ``diff --fail-on-movers`` found
-significant movers.
+0 ok, 2 usage, 3 ``diff --fail-on-movers`` found significant movers.
 """
 
 from __future__ import annotations
@@ -113,35 +108,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_kernel(args: argparse.Namespace) -> int:
-    from repro.engine.event import Engine
-    from repro.engine.kernelbench import CASES, SMOKE_EVENTS
-
-    cases = sorted(CASES) if args.case == "all" else [args.case]
-    unknown = [c for c in cases if c not in CASES]
-    if unknown:
-        print(f"error: unknown kernel case(s) {', '.join(unknown)}; "
-              f"known: {', '.join(sorted(CASES))} (or 'all')",
-              file=sys.stderr)
-        return EXIT_USAGE
-    nevents = args.events if args.events is not None else SMOKE_EVENTS
-    prof = Profiler()
-    start = perf_counter_ns()
-    for case in cases:
-        engine = Engine()
-        prof.attach_engine(engine)
-        with prof.frame(f"kernel.{case}"):
-            CASES[case](engine, nevents, args.seed)
-    wall_ns = perf_counter_ns() - start
-    prof.uninstrument_all()
-    doc = prof.to_dict(wall_ns=wall_ns, meta={
-        "workload": f"kernel.{args.case}", "events": nevents,
-        "seed": args.seed})
-    _report(doc, wall_ns, args.top)
-    _export(doc, args)
-    return EXIT_OK
-
-
 def _load_profile(path: str) -> Dict[str, Any]:
     with open(path) as fh:
         return profile_from_dict(json.load(fh))
@@ -161,44 +127,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     print(format_movers(movers), end="")
     if movers and args.fail_on_movers:
         return EXIT_MOVERS
-    return EXIT_OK
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.serve.client import ServeClient
-    try:
-        with ServeClient(args.host, args.port,
-                         tenant="repro-prof") as client:
-            doc = client.metrics()
-    # Unreachable daemon is a usage-level condition, not a crash: one
-    # line on stderr and exit 2 (matches repro-top).
-    except ConnectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: cannot reach daemon at {args.host}:{args.port} "
-              f"({exc})", file=sys.stderr)
-        return EXIT_USAGE
-    kernel = (doc.get("pool") or {}).get("kernel") or {}
-    if not kernel:
-        print("no kernel health reported yet (no jobs completed)")
-        return EXIT_OK
-    print(f"engines            {kernel.get('engines', 0)}")
-    print(f"events dispatched  {kernel.get('events', 0)}")
-    print(f"pool hit rate      {kernel.get('pool_hit_rate', 0.0):.1%} "
-          f"(hits {kernel.get('pool_hits', 0)}, "
-          f"misses {kernel.get('pool_misses', 0)})")
-    print(f"far migrations     {kernel.get('far_migrations', 0)}")
-    print(f"compactions        {kernel.get('compactions', 0)} "
-          f"({kernel.get('compacted_entries', 0)} entries)")
-    print(f"singleton lane     {kernel.get('singleton_dispatches', 0)}")
-    print(f"buckets occupied   {kernel.get('buckets', 0)} "
-          f"(far events {kernel.get('far_events', 0)})")
-    hist = kernel.get("batch_hist") or {}
-    if hist:
-        print("batch sizes        "
-              + "  ".join(f"{label}:{hist[label]}"
-                          for label in sorted(hist)))
     return EXIT_OK
 
 
@@ -227,17 +155,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_exports(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
-    p_kernel = sub.add_parser(
-        "kernel", help="profile a kernelbench workload")
-    p_kernel.add_argument("case",
-                          help="kernelbench case name, or 'all'")
-    p_kernel.add_argument("--events", type=int, default=None)
-    p_kernel.add_argument("--seed", type=int, default=0)
-    add_exports(p_kernel)
-    p_kernel.set_defaults(fn=_cmd_kernel)
-
     p_diff = sub.add_parser(
-        "diff", help="attribute a regression to moved handlers")
+        "diff", help="attribute a regression to moved callsites")
     p_diff.add_argument("baseline")
     p_diff.add_argument("candidate")
     p_diff.add_argument("--min-share-pts", type=float, default=5.0,
@@ -249,12 +168,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_diff.add_argument("--fail-on-movers", action="store_true",
                         help="exit 3 when any mover is reported")
     p_diff.set_defaults(fn=_cmd_diff)
-
-    p_health = sub.add_parser(
-        "health", help="kernel health from a running serve daemon")
-    p_health.add_argument("--host", default="127.0.0.1")
-    p_health.add_argument("--port", type=int, default=7421)
-    p_health.set_defaults(fn=_cmd_health)
 
     args = parser.parse_args(argv)
     return args.fn(args)

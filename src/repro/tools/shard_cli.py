@@ -17,8 +17,8 @@ is a determinism bug — exit ``3``.
 
 ``crosscheck`` runs the media-level stream once with the scalar
 (authoritative) engine and once with the numpy-vectorized engine and
-demands identical documents — the LegacyEngine-style checksum gate for
-the batched timing math.  Exit ``3`` on divergence, ``0`` if numpy is
+demands identical documents — the checksum gate for the batched timing
+math.  Exit ``3`` on divergence, ``0`` if numpy is
 unavailable (the vector path is then never used in production either).
 
 Exit codes: ``0`` ok, ``2`` usage error, ``3`` identity/cross-check

@@ -153,7 +153,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         return 0
     # Unreachable daemon is a usage-level condition, not a crash: one
-    # line on stderr and exit 2 (matches repro-prof health).
+    # line on stderr and exit 2.
     except ConnectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

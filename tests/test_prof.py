@@ -1,7 +1,7 @@
-"""Host-side kernel profiler (``repro.prof``) and engine health
-introspection: null-object cost model, frame accounting, instrument /
-uninstrument lifecycle, bit-identity of profiled runs, kernel_stats,
-export round-trips, and regression localization via ``repro-prof diff``.
+"""Host-side profiler (``repro.prof``): null-object cost model, frame
+accounting, instrument / uninstrument lifecycle, bit-identity of
+profiled runs, export round-trips, and regression localization via
+``repro-prof diff``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import registry
-from repro.engine.event import Engine, aggregate_kernel_stats
-from repro.engine.kernelbench import CASES
 from repro.prof import (
     NULL_PROF,
     PROFILE_SCHEMA,
@@ -51,11 +49,6 @@ class TestNullProfiler:
 
     def test_no_session_means_null_current(self):
         assert current() is NULL_PROF
-
-    def test_unprofiled_engine_keeps_fast_dispatch(self):
-        engine = Engine()
-        assert engine._fast_dispatch is True
-        assert engine.profiler is None
 
     def test_unprofiled_build_binds_nothing_instance_side(self):
         """registry.build without a prof session installs no wrappers:
@@ -210,103 +203,6 @@ class TestBitIdentity:
                 sort_keys=True, default=str)
 
         assert payload(None) == payload(Profiler())
-
-
-class TestEngineProfiledDispatch:
-    def test_profiled_dispatch_matches_unprofiled(self):
-        for case, driver in CASES.items():
-            bare = Engine()
-            checksum = driver(bare, 4000, seed=7)
-
-            prof = Profiler()
-            engine = Engine()
-            prof.attach_engine(engine)
-            assert engine._fast_dispatch is False
-            profiled = driver(engine, 4000, seed=7)
-            prof.uninstrument_all()
-            assert engine.profiler is None
-
-            assert profiled == checksum, case
-            assert engine.processed_events == bare.processed_events
-            frames = prof.to_dict()["frames"]
-            assert any(k.startswith("handler.") for k in frames)
-            assert sum(f["calls"] for f in frames.values()) == \
-                engine.processed_events
-
-    def test_handler_keys_use_qualnames(self):
-        prof = Profiler()
-        engine = Engine()
-        prof.attach_engine(engine)
-        CASES["pointer_chase"](engine, 500, 0)
-        prof.uninstrument_all()
-        assert "handler._drive_pointer_chase.completion" in \
-            prof.to_dict()["frames"]
-
-
-class TestKernelStats:
-    def test_ddrt_burst_stats(self):
-        engine = Engine()
-        CASES["ddrt_burst"](engine, 20_000, 0)
-        stats = engine.kernel_stats()
-        assert stats["events"] == engine.processed_events
-        assert stats["scheduled"] >= stats["events"]
-        assert stats["pool_hits"] + stats["pool_misses"] == \
-            stats["scheduled"]
-        assert 0.0 <= stats["pool_hit_rate"] <= 1.0
-        # steady-state scheduling reuses pooled events heavily
-        assert stats["pool_hit_rate"] > 0.5
-        assert stats["batch_hist"], "burst workload must batch"
-        assert sum(stats["batch_hist"].values()) > 0
-
-    def test_far_horizon_migrates(self):
-        engine = Engine()
-        CASES["far_horizon"](engine, 20_000, 0)
-        assert engine.kernel_stats()["far_migrations"] > 0
-
-    def test_cancel_heavy_compacts(self):
-        engine = Engine()
-        CASES["cancel_heavy"](engine, 20_000, 0)
-        stats = engine.kernel_stats()
-        assert stats["cancelled_pending"] == 0  # drained by run()
-        assert stats["compactions"] >= 1
-        assert stats["compacted_entries"] > 0
-
-    def test_occupancy_shape(self):
-        engine = Engine()
-        engine.schedule(100, lambda: None)
-        engine.schedule(10**9, lambda: None)
-        stats = engine.kernel_stats()
-        assert stats["pending"] == 2
-        assert stats["far_events"] >= 1
-        assert stats["buckets"] >= 1
-
-    def test_aggregate_sums_engines(self):
-        base = aggregate_kernel_stats()
-        a, b = Engine(), Engine()
-        CASES["pointer_chase"](a, 1000, 0)
-        CASES["pointer_chase"](b, 1000, 0)
-        agg = aggregate_kernel_stats()
-        assert agg["engines"] >= base["engines"] + 2
-        assert agg["events"] >= base["events"] + 2000
-
-    def test_publish_kernel_gauges(self):
-        from repro.instrument import InstrumentBus
-
-        engine = Engine()
-        CASES["ddrt_burst"](engine, 2000, 0)
-        bus = InstrumentBus()
-        engine.publish_kernel_gauges(bus)
-        snap = bus.snapshot()
-        assert snap["kernel.events"] == engine.processed_events
-        assert "kernel.pool_hit_rate" in snap
-
-    def test_kernelbench_records_stats(self):
-        from repro.engine.kernelbench import run_kernel_bench
-
-        results = run_kernel_bench(nevents=2000, seed=0, repeats=1)
-        for case, entry in results.items():
-            assert entry["kernel_stats"]["events"] == entry["events"], case
-            assert "batch_hist" in entry["kernel_stats"]
 
 
 SAFE_KEY = st.text(
@@ -485,109 +381,13 @@ class TestCli:
         assert main(["diff", str(tmp_path / "missing.json"),
                      str(bad)]) == 2
 
-    def test_kernel_cli_writes_exports(self, tmp_path, capsys):
-        from repro.tools.prof_cli import main
-
-        out = tmp_path / "k.json"
-        ss = tmp_path / "k.speedscope.json"
-        assert main(["kernel", "pointer_chase", "--events", "2000",
-                     "--json", str(out), "--speedscope", str(ss)]) == 0
-        doc = profile_from_dict(json.loads(out.read_text()))
-        assert "kernel.pointer_chase" in doc["frames"]
-        assert json.loads(ss.read_text())["profiles"]
-        assert "coverage" in capsys.readouterr().out
-
-    def test_kernel_cli_unknown_case_exits_two(self):
-        from repro.tools.prof_cli import main
-
-        assert main(["kernel", "nope"]) == 2
-
     def test_run_cli_unknown_experiment_exits_two(self):
         from repro.tools.prof_cli import main
 
         assert main(["run", "nope"]) == 2
-
-    def test_prof_health_unreachable_exits_two(self, capsys):
-        from repro.tools.prof_cli import main
-
-        assert main(["health", "--port", "1"]) == 2
-        assert "error:" in capsys.readouterr().err
 
     def test_top_unreachable_exits_two(self, capsys):
         from repro.tools.top_cli import main
 
         assert main(["--once", "--port", "1"]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestServeKernelMetrics:
-    DOC = {
-        "uptime_s": 1.0, "sessions": 0, "counters": {},
-        "scheduler": {"submitted": 0, "dispatched": 0, "completed": 0,
-                      "rejected": 0, "dispatch_log_total": 0,
-                      "queued": 0, "active": 0},
-        "pool": {"workers": 1, "idle": 1, "busy": 0, "alive": 1,
-                 "spawned": 1, "respawned": 0, "completed": 1,
-                 "errors": 0, "timeouts": 0, "rejects": 0,
-                 "warm_cache": {"hits": 1, "misses": 0, "size": 1},
-                 "kernel": {"engines": 2, "events": 5000,
-                            "scheduled": 5100, "pending": 0,
-                            "pooled": 12, "pool_hits": 4000,
-                            "pool_misses": 1100,
-                            "pool_hit_rate": 0.784,
-                            "far_migrations": 3, "compactions": 1,
-                            "compacted_entries": 40,
-                            "cancelled_pending": 0,
-                            "singleton_dispatches": 900,
-                            "buckets": 4, "binned_events": 0,
-                            "active_remaining": 0, "far_events": 0,
-                            "batch_hist": {"1": 900, "2-3": 500,
-                                           "4-7": 120}}},
-    }
-
-    def test_kernel_series_render_and_parse(self):
-        from repro.serve.metrics import parse_exposition, render_prometheus
-
-        samples = parse_exposition(render_prometheus(self.DOC))
-        assert samples["repro_kernel_engines"] == 2
-        assert samples["repro_kernel_events_total"] == 5000
-        assert samples[
-            'repro_kernel_pool_events_total{outcome="hit"}'] == 4000
-        assert samples[
-            'repro_kernel_pool_events_total{outcome="miss"}'] == 1100
-        assert samples["repro_kernel_pool_hit_ratio"] == \
-            pytest.approx(0.784)
-        assert samples[
-            'repro_kernel_batch_dispatches_total{batch_size="2-3"}'] \
-            == 500
-        assert samples["repro_kernel_far_migrations_total"] == 3
-
-    def test_live_daemon_ships_kernel_section(self):
-        """Worker payloads carry the kernel aggregate; the daemon
-        renders it and ``repro-prof health`` reads it (zeros for
-        analytic jobs, which build no event engine)."""
-        from repro.serve.client import ServeClient
-        from repro.serve.server import running_daemon
-        from repro.tools.prof_cli import main
-
-        ops = [{"op": "read", "addr": 0, "count": 500, "stride": 64}]
-        with running_daemon(workers=1, warm_cache=4) as daemon:
-            with ServeClient("127.0.0.1", daemon.port,
-                             tenant="prof") as client:
-                client.run_stream("vans", ops)
-                doc = client.metrics()
-                expo = client.metrics(format="prometheus")
-            assert "kernel" in doc["pool"]
-            assert "events" in doc["pool"]["kernel"]
-            assert any(line.startswith("repro_kernel_events_total")
-                       for line in expo.splitlines())
-            assert main(["health", "--port", str(daemon.port)]) == 0
-
-    def test_no_kernel_section_renders_cleanly(self):
-        from repro.serve.metrics import parse_exposition, render_prometheus
-
-        doc = {k: v for k, v in self.DOC.items()}
-        doc["pool"] = {k: v for k, v in self.DOC["pool"].items()
-                       if k != "kernel"}
-        samples = parse_exposition(render_prometheus(doc))
-        assert not any(k.startswith("repro_kernel_") for k in samples)
