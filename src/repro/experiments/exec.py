@@ -329,7 +329,7 @@ def run_stream(target: str, ops: Sequence[Mapping[str, object]],
     merged output.  ``shards`` above 1 requires ``issue="open"`` — a
     chained stream is serial by definition — and the shard plane runs
     uninstrumented, so ``faults`` plans are chained-plane only.
-    ``shards=None`` defers to the ``--shards`` session default.
+    ``shards=None`` runs one shard.
 
     Op semantics:
 

@@ -29,7 +29,6 @@ import argparse
 import sys
 import time
 import traceback
-from contextlib import nullcontext
 from dataclasses import replace as dc_replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -209,12 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="run experiments in N parallel processes "
                              "(bit-identical to serial)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="session default for shard-plane streams: "
-                             "open-loop streams partition across N "
-                             "per-DIMM shards (bit-identical to serial; "
-                             "figure experiments are chained and "
-                             "unaffected)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="base seed for per-experiment RNG")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
@@ -291,29 +284,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_USAGE
         faults_spec = plan.to_dict()
 
-    shard_scope = nullcontext()
-    if args.shards is not None:
-        from repro.common.errors import ConfigError
-        from repro.shard import shard_session
-        try:
-            shard_scope = shard_session(args.shards)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
     collected: List[ExperimentResult] = []
     all_records: List[FlightRecord] = []
     crash_tolerant = (args.workers > 1 or args.timeout is not None
                       or args.retries > 0)
-    with shard_scope:
-        return _run_campaign(args, ids, scale, flight_spec, telemetry_spec,
-                             faults_spec, crash_tolerant, collected,
-                             all_records)
-
-
-def _run_campaign(args, ids, scale, flight_spec, telemetry_spec,
-                  faults_spec, crash_tolerant, collected,
-                  all_records) -> int:
     if crash_tolerant:
         by_id = _run_parallel(ids, scale, args.seed, args.workers,
                               flight_spec=flight_spec, heartbeat=True,

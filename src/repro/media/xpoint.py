@@ -83,29 +83,6 @@ class XPointMedia:
                           partition=partition)
         return done
 
-    def access_batch(self, addrs, is_write, issues, engine: str = "auto"):
-        """Batched :meth:`access` over parallel sequences.
-
-        ``engine="vector"`` uses the numpy prefix-scan kernel
-        (:mod:`repro.shard.vector`), ``"scalar"`` the authoritative
-        per-request loop; ``"auto"`` picks vector when numpy is
-        available and no observer is attached.  Both produce
-        identical completion times and leave identical partition-server
-        and counter state — the cross-check ``repro-shard crosscheck``
-        and the kernel bench suite enforce.
-        """
-        from repro.shard import vector
-        if engine not in ("auto", "vector", "scalar"):
-            raise ConfigError(f"unknown batch engine {engine!r}")
-        eligible = vector.HAVE_NUMPY and not self.hooks.on
-        if engine == "vector" and not eligible:
-            raise ConfigError("vector batch engine needs numpy and "
-                              "uninstrumented media")
-        if engine == "scalar" or not eligible:
-            return vector.media_access_batch_scalar(
-                self, addrs, is_write, issues)
-        return vector.media_access_batch(self, addrs, is_write, issues)
-
     def access_block(self, media_addr: int, nbytes: int, is_write: bool, now: int) -> int:
         """Access ``nbytes`` (e.g. a 4KB AIT entry fill) as parallel 256B
         units across partitions; returns the last completion time."""

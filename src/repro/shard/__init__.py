@@ -21,23 +21,16 @@ Layout:
 * :mod:`repro.shard.merge` — canonical snapshot/timeline/checksum
   merge algebra (associative and order-independent);
 * :mod:`repro.shard.executor` — serial, in-process-sharded, and
-  forked-worker execution with the epoch barrier protocol;
-* :mod:`repro.shard.bench` — the ``shard.*`` cases that
-  ``repro-bench --suite kernel`` times and gates.
+  forked-worker execution with the epoch barrier protocol.
 
-The session default below is how ``--shards N`` travels from the CLIs
-into :func:`repro.experiments.exec.run_stream` without touching every
-intermediate signature (the same pattern the flight/telemetry/fault
-sessions use).
+Streams reach the plane through ``repro-shard``, the serve protocol's
+``stream`` verb and :func:`repro.experiments.exec.run_stream` with
+``issue="open"``; each names its shard count (one when omitted).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from repro.common.errors import ConfigError
-
-_DEFAULT_SHARDS = 1
 
 
 def validate_shards(shards: int) -> int:
@@ -49,25 +42,3 @@ def validate_shards(shards: int) -> int:
     if value < 1:
         raise ConfigError(f"shards must be >= 1, got {value}")
     return value
-
-
-def default_shards() -> int:
-    """The session-wide shard count (1 unless a session is active)."""
-    return _DEFAULT_SHARDS
-
-
-@contextmanager
-def shard_session(shards: int):
-    """Scope a session-wide default shard count (``--shards N``).
-
-    Forked worker processes inherit the default through the fork, so a
-    campaign parent sets it once for the whole fan-out.
-    """
-    global _DEFAULT_SHARDS
-    value = validate_shards(shards)
-    prev = _DEFAULT_SHARDS
-    _DEFAULT_SHARDS = value
-    try:
-        yield
-    finally:
-        _DEFAULT_SHARDS = prev

@@ -35,7 +35,6 @@ from repro.common.supervise import (BACKOFF_S, Child, ChildFailure,
                                     ChildTimeout)
 from repro.faults.injector import current as current_faults
 from repro.flight.recorder import current as current_flight
-from repro.shard import default_shards
 from repro.shard import merge as shard_merge
 from repro.shard import vector
 from repro.shard.plan import ShardPlan
@@ -147,7 +146,7 @@ class _ShardState:
         self.buckets: Dict[int, List[int]] = {}
 
     def reset(self) -> None:
-        """Back to as-built state (bench repeats re-run the same job)."""
+        """Back to as-built state, so the same job can run again."""
         self.system.reset()
         self.reset_accumulators()
 
@@ -288,11 +287,7 @@ def _resolve_engine(level: str, engine: str) -> str:
                               "timing; system-level streams are scalar "
                               "(use level='media')")
         return "scalar"
-    if engine == "auto":
-        return "vector" if vector.HAVE_NUMPY else "scalar"
-    if engine == "vector" and not vector.HAVE_NUMPY:
-        raise ConfigError("vector engine requires numpy")
-    return engine
+    return "vector" if engine == "auto" else engine
 
 
 def _refuse_recording_sessions(target: str) -> None:
@@ -344,8 +339,8 @@ def prepare(target: str, ops: Sequence[Mapping[str, object]], *,
             level: str = "system", engine: str = "auto",
             interval_ps: int = DEFAULT_INTERVAL_PS) -> _Prepared:
     """Compile + partition a stream against a built target (no
-    execution yet; the bench suite reuses one prepared job across
-    repeats)."""
+    execution yet; :meth:`_Prepared.reset` lets one prepared job run
+    again)."""
     engine = _resolve_engine(level, engine)
     _refuse_recording_sessions(target)
     overrides = dict(overrides or {})
@@ -359,8 +354,7 @@ def prepare(target: str, ops: Sequence[Mapping[str, object]], *,
             f"needs a VANS-family target (per-channel state is the unit of "
             f"isolation)")
     plan = ShardPlan.for_target(interleaver.ndimms,
-                                shards if shards is not None
-                                else default_shards())
+                                1 if shards is None else shards)
     substreams = partition(epochs, interleaver, plan)
     return _Prepared(target, overrides, epochs, plan, level, engine,
                      interval_ps, substreams)
@@ -506,7 +500,7 @@ def run_shard_stream(target: str, ops: Sequence[Mapping[str, object]], *,
                      progress=None) -> Dict[str, object]:
     """Run an open-loop stream sharded by the interleave map.
 
-    ``shards=None`` takes the session default (``--shards N``).
+    ``shards=None`` runs one shard.
     ``fork=None`` forks workers only when more than one shard is
     effective and more than one CPU is available; ``fork=False`` runs
     every shard in-process (same numbers, no processes); ``fork=True``

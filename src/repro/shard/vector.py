@@ -4,8 +4,8 @@ The scalar paths (:meth:`repro.engine.queueing.Server.serve`,
 :meth:`repro.media.xpoint.XPointMedia.access`) stay authoritative; the
 kernels here compute the *identical* integer timings for a whole batch
 at once and leave the server/counter state exactly as the equivalent
-scalar loop would, enforced by checksum cross-checks in ``repro-bench
---suite kernel`` and ``repro-shard crosscheck``.
+scalar loop would, enforced by the checksum cross-check in
+``repro-shard crosscheck``.
 
 The FCFS recurrence ``c_i = max(a_i, c_{i-1}) + s_i`` vectorizes as a
 prefix scan: with ``P_i = cumsum(s)_i`` (inclusive) and ``d_i = a_i -
@@ -15,21 +15,13 @@ P_{i-1}``,
 
 which is two ``cumsum``/``maximum.accumulate`` passes in exact int64
 (picosecond magnitudes keep every intermediate far below 2**63).
-
-numpy is an optional accelerator: without it every entry point falls
-back to the scalar loop, bit-identically.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-try:  # soft dependency — the scalar path is always available
-    import numpy as np
-except ImportError:  # pragma: no cover - container always has numpy
-    np = None
-
-HAVE_NUMPY = np is not None
+import numpy as np
 
 
 def _as_int64(values):
@@ -50,13 +42,8 @@ def fcfs_completions(arrivals, services, busy0: int = 0):
     return prefix + started
 
 
-def serve_batch(server, arrivals, services) -> "np.ndarray":
-    """Batched :meth:`Server.serve`: identical completions and state.
-
-    Falls back to the scalar loop without numpy.
-    """
-    if not HAVE_NUMPY:
-        return server.serve_batch(arrivals, services)
+def serve_batch(server, arrivals, services) -> np.ndarray:
+    """Batched :meth:`Server.serve`: identical completions and state."""
     completions = fcfs_completions(arrivals, services, server.busy_until)
     n = len(completions)
     if n:
@@ -66,7 +53,7 @@ def serve_batch(server, arrivals, services) -> "np.ndarray":
     return completions
 
 
-def banked_serve_batch(banked, banks, arrivals, services) -> "np.ndarray":
+def banked_serve_batch(banked, banks, arrivals, services) -> np.ndarray:
     """Batched :meth:`BankedServer.serve` over mixed bank indices.
 
     Requests are scanned per bank in stream order (the order the scalar
@@ -74,8 +61,6 @@ def banked_serve_batch(banked, banks, arrivals, services) -> "np.ndarray":
     per-bank arrival order) and completions scatter back into stream
     positions.
     """
-    if not HAVE_NUMPY:
-        return banked.serve_batch(banks, arrivals, services)
     bank_idx = _as_int64(banks) % banked.nbanks
     a = _as_int64(arrivals)
     s = _as_int64(services)
@@ -86,7 +71,7 @@ def banked_serve_batch(banked, banks, arrivals, services) -> "np.ndarray":
     return out
 
 
-def media_access_batch(media, addrs, is_write, issues) -> "np.ndarray":
+def media_access_batch(media, addrs, is_write, issues) -> np.ndarray:
     """Batched :meth:`XPointMedia.access` (uninstrumented media only).
 
     Computes the partition index and service time of every access,
@@ -98,8 +83,6 @@ def media_access_batch(media, addrs, is_write, issues) -> "np.ndarray":
     if media.hooks.on:
         raise ValueError("media_access_batch requires uninstrumented media "
                          "(no observer attached); use the scalar path")
-    if not HAVE_NUMPY:
-        return media_access_batch_scalar(media, addrs, is_write, issues)
     cfg = media.config
     units = (_as_int64(addrs) % cfg.capacity_bytes) // cfg.granularity
     writes = np.asarray(is_write, dtype=bool)
@@ -128,9 +111,6 @@ def media_access_batch_scalar(media, addrs, is_write,
 def batch_checksum(indices, completions) -> int:
     """Vectorized :func:`repro.shard.merge.completion_checksum` partial."""
     from repro.shard.merge import MASK64, MIX_INDEX, MIX_VALUE
-    if not HAVE_NUMPY:
-        from repro.shard.merge import completion_checksum
-        return completion_checksum(zip(indices, completions))
     idx = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
     comp = np.asarray(completions).astype(np.uint64)
     mixed = (idx * np.uint64(MIX_INDEX)) ^ (comp * np.uint64(MIX_VALUE))
@@ -144,13 +124,6 @@ def batch_timeline(completions, issues,
     ``busy_ps`` sums ``completion - issue`` per completion bucket —
     the same accumulation the scalar per-request path performs.
     """
-    if not HAVE_NUMPY:
-        rows = {}
-        for done, start in zip(completions, issues):
-            bucket = int(done) // interval_ps
-            n, busy = rows.get(bucket, (0, 0))
-            rows[bucket] = (n + 1, busy + int(done) - int(start))
-        return [(b, n, busy) for b, (n, busy) in sorted(rows.items())]
     comp = _as_int64(completions)
     lat = comp - _as_int64(issues)
     buckets = comp // np.int64(interval_ps)

@@ -1,4 +1,4 @@
-"""Sim-time telemetry: time-series sampling, manifests, benchmarking.
+"""Sim-time telemetry: time-series sampling, manifests, the metric gate.
 
 Public surface:
 
@@ -8,7 +8,8 @@ Public surface:
 * :func:`run_manifest` / :func:`validate_manifest` — run attribution;
 * :func:`render_timeline` / :func:`sparkline` / CSV and Chrome-counter
   exporters — ways to look at a timeline;
-* :mod:`repro.telemetry.bench` — the ``repro-bench`` harness.
+* :mod:`repro.telemetry.bench` — ``repro-bench``, the deterministic
+  model-metric gate (host time is measured by ``perfbench/``).
 """
 
 from repro.telemetry.export import (

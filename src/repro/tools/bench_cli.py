@@ -1,28 +1,25 @@
-"""``repro-bench``: run a benchmark suite, record it, gate regressions.
+"""``repro-bench``: run a suite, record its model outputs, gate drift.
 
 Usage::
 
-    repro-bench --suite smoke                       # run + write + diff
-    repro-bench --suite smoke --out bench/          # choose output dir
-    repro-bench --suite smoke --baseline BENCH_2026-08-05.json
-    repro-bench --suite smoke --gate metrics        # CI: metrics only
-    repro-bench --check BENCH_2026-08-05.json       # validate a document
+    repro-bench --suite smoke --out bench-smoke/ \\
+        --baseline bench/smoke/BENCH_2026-10-18.json   # CI
+    repro-bench --suite lens --out DIR    # diff vs latest BENCH_*.json in DIR
+    repro-bench --check bench/lens/BENCH_2026-10-18.json   # validate
 
-Each run writes ``BENCH_<date>.json`` (schema ``repro.bench/2``): per
-experiment wall seconds, simulated requests, requests/sec, and the
-experiment's model-output metrics; plus run totals (peak RSS included)
-and a full run manifest (git SHA, config hash, seeds, environment).
-Kernel-suite entries (the shard plane's ``shard.*`` cases) additionally
-carry the one-shard scalar path's numbers, the same-run ``speedup`` and
-the shard plan under ``kernel_stats`` (never gated — context for
-diagnosing a perf exit 3).
+Each run writes ``BENCH_<date>.json`` (schema ``repro.bench/3``): per
+experiment the simulated request count and the experiment's
+model-output metrics, plus a run manifest (git SHA, config hash, seeds,
+environment).  Every recorded value is deterministic.  Host time is not
+recorded here: ``perfbench/`` measures it (see ``perfbench/README.md``).
 
-The fresh run is diffed against the latest prior ``BENCH_*.json`` in the
-output directory (or ``--baseline``).  Exit codes: ``0`` ok / no
-baseline, ``2`` usage error, ``3`` the gate found regressions beyond
-threshold, ``4`` one or more experiments crashed (the partial document
-is still written, with ``"completed": false``, so a long suite never
-loses its finished measurements to one bad experiment).
+The fresh run is diffed against ``--baseline`` or else the latest prior
+``BENCH_*.json`` in the output directory.  Exit codes: ``0`` ok / no
+baseline, ``2`` usage error or an unreadable or invalid baseline, ``3``
+a metric or request count moved by more than 0.1%, ``4`` one or more
+experiments crashed (the partial document is still written, with
+``"completed": false``, so a long suite never loses its finished
+measurements to one bad experiment).
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from repro.telemetry.bench import (
     diff_bench,
     find_baseline,
     gate,
-    kernel_gate,
     run_suite,
     suite_ids,
     validate_bench,
@@ -87,24 +83,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--baseline", metavar="PATH",
                         help="diff against this document instead of the "
                              "latest BENCH_*.json in the output directory")
-    parser.add_argument("--gate", default="all",
-                        choices=["all", "metrics", "perf", "none"],
-                        help="which delta family fails the run "
-                             "(default: %(default)s; CI should use "
-                             "'metrics' — perf is machine-dependent)")
-    parser.add_argument("--metric-threshold", type=float, default=0.001,
-                        metavar="REL",
-                        help="relative metric drift tolerated "
-                             "(default: %(default)s)")
-    parser.add_argument("--perf-threshold", type=float, default=0.25,
-                        metavar="REL",
-                        help="relative slowdown tolerated "
-                             "(default: %(default)s)")
     parser.add_argument("--date", metavar="YYYY-MM-DD",
                         help="override the output filename date stamp")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard count for the kernel suite's shard.* "
-                             "cases (default: each case's own setting)")
     parser.add_argument("--summary", metavar="PATH",
                         help="append a markdown run summary to PATH "
                              "(pass \"$GITHUB_STEP_SUMMARY\" in CI)")
@@ -136,8 +116,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     scale = Scale.PAPER if args.paper else Scale.SMOKE
     print(f"repro-bench: suite={args.suite} scale={scale.value} "
           f"({', '.join(suite_ids(args.suite))})")
-    config = {"shards": args.shards} if args.shards is not None else None
-    doc = run_suite(args.suite, scale, seed=args.seed, config=config)
+    doc = run_suite(args.suite, scale, seed=args.seed)
     problems = validate_bench(doc)
     if problems:  # defensive: a schema bug should fail loudly, not gate
         for problem in problems:
@@ -155,22 +134,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    totals = doc["totals"]
-    print(f"wrote {out_path}: {len(doc['experiments'])} experiments, "
-          f"{totals['requests']} requests in {totals['wall_s']:.1f}s "
-          f"({totals['requests_per_s']:.0f} req/s, "
-          f"peak RSS {totals['peak_rss_kb']} KiB)")
-
+    print(f"wrote {out_path}: {len(doc['experiments'])} experiments")
     summary: List[str] = [
         f"### repro-bench: suite `{args.suite}` ({scale.value})",
         "",
-        f"- {len(doc['experiments'])} experiments, "
-        f"{totals['requests']} requests in {totals['wall_s']:.1f}s "
-        f"({totals['requests_per_s']:.0f} req/s, peak RSS "
-        f"{totals['peak_rss_kb']} KiB)",
+        f"- {len(doc['experiments'])} experiments",
     ]
 
-    if not doc.get("completed", True):
+    if not doc["completed"]:
         failed = sorted(exp_id for exp_id, entry
                         in doc["experiments"].items() if "error" in entry)
         print(f"\nPARTIAL RUN: {len(failed)} experiment(s) crashed: "
@@ -186,39 +157,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _append_summary(args.summary, summary)
         return EXIT_PARTIAL
 
-    if args.suite == "kernel":
-        # Same-runner relative gate: both paths were timed back to back
-        # in this very run, so "sharded must not be slower than the
-        # one-shard scalar path" holds on any machine at any load.
-        summary += ["", "| case | sharded req/s | scalar req/s | speedup |",
-                    "|---|---:|---:|---:|"]
-        for exp_id in sorted(doc["experiments"]):
-            entry = doc["experiments"][exp_id]
-            if "speedup" in entry:
-                print(f"  {exp_id}: {entry['requests_per_s']:.0f} req/s "
-                      f"sharded vs {entry['legacy_events_per_s']:.0f} "
-                      f"req/s one-shard scalar ({entry['speedup']:.2f}x)")
-                summary.append(
-                    f"| {exp_id} | {entry['requests_per_s']:.0f} "
-                    f"| {entry['legacy_events_per_s']:.0f} "
-                    f"| {entry['speedup']:.2f}x |")
-        if args.gate != "none":
-            slower = kernel_gate(doc)
-            if slower:
-                print(f"\nREGRESSION: sharded path slower than the "
-                      f"one-shard scalar path in {len(slower)} case(s)",
-                      file=sys.stderr)
-                for line in slower:
-                    print(f"  {line}", file=sys.stderr)
-                summary.append(f"\n**REGRESSION**: sharded path slower "
-                               f"than one-shard scalar in {len(slower)} "
-                               f"case(s)")
-                _append_summary(args.summary, summary)
-                return EXIT_REGRESSION
-            print("kernel gate: sharded >= one-shard scalar in every case")
-            summary.append("\nkernel gate: sharded >= one-shard scalar in "
-                           "every case ✓")
-
     if baseline_path is None:
         print("no prior baseline found; nothing to diff")
         summary.append("- no prior baseline found; nothing to diff")
@@ -233,37 +171,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     stale = validate_bench(baseline)
     if stale:
-        print(f"warning: baseline {baseline_path} is invalid "
-              f"({'; '.join(stale)}); skipping diff", file=sys.stderr)
+        # a stale baseline must fail the run, never silently ungate it
+        print(f"error: baseline {baseline_path} is invalid "
+              f"({'; '.join(stale)})", file=sys.stderr)
         _append_summary(args.summary, summary)
-        return EXIT_OK
+        return EXIT_USAGE
 
     deltas = diff_bench(baseline, doc)
-    changed = deltas["metrics"] + deltas["perf"]
-    print(f"\ndiff vs {baseline_path}: "
-          f"{len(deltas['metrics'])} metric / "
-          f"{len(deltas['perf'])} perf value(s) changed")
+    print(f"\ndiff vs {baseline_path}: {len(deltas)} metric value(s) "
+          f"changed")
     summary.append(f"- diff vs `{os.path.basename(baseline_path)}`: "
-                   f"{len(deltas['metrics'])} metric / "
-                   f"{len(deltas['perf'])} perf value(s) changed")
-    for delta in changed:
+                   f"{len(deltas)} metric value(s) changed")
+    for delta in deltas:
         print(f"  {delta.render()}")
         summary.append(f"  - `{delta.render()}`")
 
-    violations = gate(deltas, args.gate,
-                      metric_threshold=args.metric_threshold,
-                      perf_threshold=args.perf_threshold)
+    violations = gate(deltas)
     if violations:
-        print(f"\nREGRESSION: {len(violations)} value(s) beyond threshold "
-              f"(gate={args.gate})", file=sys.stderr)
+        print(f"\nREGRESSION: {len(violations)} value(s) beyond threshold",
+              file=sys.stderr)
         for delta in violations:
             print(f"  {delta.render()}", file=sys.stderr)
         summary.append(f"\n**REGRESSION**: {len(violations)} value(s) "
-                       f"beyond threshold (gate={args.gate})")
+                       f"beyond threshold")
         _append_summary(args.summary, summary)
         return EXIT_REGRESSION
-    print(f"gate={args.gate}: ok")
-    summary.append(f"- gate={args.gate}: ok ✓")
+    print("metric gate: ok")
+    summary.append("- metric gate: ok ✓")
     _append_summary(args.summary, summary)
     return EXIT_OK
 

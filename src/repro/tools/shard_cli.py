@@ -18,8 +18,7 @@ is a determinism bug — exit ``3``.
 ``crosscheck`` runs the media-level stream once with the scalar
 (authoritative) engine and once with the numpy-vectorized engine and
 demands identical documents — the checksum gate for the batched timing
-math.  Exit ``3`` on divergence, ``0`` if numpy is
-unavailable (the vector path is then never used in production either).
+math.  Exit ``3`` on divergence.
 
 Exit codes: ``0`` ok, ``2`` usage error, ``3`` identity/cross-check
 violation.
@@ -121,10 +120,6 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    from repro.shard.vector import HAVE_NUMPY
-    if not HAVE_NUMPY:
-        print("numpy unavailable; vector engine disabled — nothing to check")
-        return EXIT_OK
     ops = _build_ops(args)
     scalar = _run_one(args, ops, args.shards, "scalar", False)
     vector = _run_one(args, ops, args.shards, "vector", False)

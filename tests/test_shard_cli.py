@@ -1,4 +1,4 @@
-"""``repro-shard`` CLI and the kernel suite's shard bench cases."""
+"""``repro-shard`` CLI."""
 
 import json
 
@@ -64,32 +64,3 @@ def test_ops_file_round_trip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ops"] == 64
-
-
-# -- bench cases ------------------------------------------------------------
-
-def test_shard_bench_cases_report_bench_shape():
-    from repro.shard.bench import run_shard_bench
-    numbers = run_shard_bench(nrequests=2048, seed=1)
-    assert set(numbers) == {"ddrt_burst", "media_randmix"}
-    for case in numbers.values():
-        assert case["events"] == 2048
-        assert 0 <= case["order_checksum"] < 2 ** 32
-        assert case["speedup"] > 0
-        assert case["legacy_events_per_s"] > 0
-        assert case["optimized_events_per_s"] > 0
-        assert case["kernel_stats"]["plan"]["effective"] >= 1
-    # the --shards knob overrides each case's own shard count, and the
-    # checksum is shard-count-invariant (identity by construction)
-    at4 = run_shard_bench(nrequests=2048, seed=1, shards=4)
-    for name, case in at4.items():
-        assert case["kernel_stats"]["plan"]["requested"] == 4
-        assert case["order_checksum"] == numbers[name]["order_checksum"]
-
-
-def test_kernel_suite_lists_shard_cases():
-    from repro.telemetry.bench import suite_ids
-    ids = suite_ids("kernel")
-    assert "shard.ddrt_burst" in ids
-    assert "shard.media_randmix" in ids
-    assert not [i for i in ids if i.startswith("kernel.")]

@@ -13,7 +13,6 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.experiments.exec import run_stream
-from repro.shard import shard_session
 from repro.shard.executor import (
     DEFAULT_INTERVAL_PS,
     SHARD_SCHEMA,
@@ -155,7 +154,8 @@ def test_run_stream_open_loop_routes_to_shard_plane():
     doc = run_stream("vans", ops, issue="open", shards=2)
     assert doc["schema"] == SHARD_SCHEMA
     assert doc["ops"] == 256
-    serial = run_stream("vans", ops, issue="open", shards=1)
+    serial = run_stream("vans", ops, issue="open")  # one shard by default
+    assert serial["plan"]["requested"] == 1
     assert _canon(doc) == _canon(serial)
 
 
@@ -175,14 +175,22 @@ def test_run_stream_shard_plane_refuses_faults():
                    faults=FaultPlan(specs=(), seed=1))
 
 
-def test_shard_session_default_reaches_run_stream():
-    ops = [{"op": "read", "addr": 0, "count": 128, "stride": 64},
-           {"op": "fence"}]
-    with shard_session(2):
-        doc = run_stream("vans", ops, issue="open",
-                         overrides=dict(OVERRIDES))
-    assert doc["schema"] == SHARD_SCHEMA
-    assert doc["plan"]["requested"] == 2
-    # chained streams ignore the session default entirely
-    chained = run_stream("vans", [{"op": "read", "count": 8}])
-    assert "plan" not in chained
+# -- drift pin --------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, write_ratio, ndimms, checksum", [
+    ("burst", 0.7, 4, "0d9c833d13c0a000"),
+    ("rand", 0.5, 2, "7052845cd54b3a00"),
+])
+def test_media_stream_checksum_pinned(kind, write_ratio, ndimms, checksum):
+    """A 49,152-request media-level stream keeps its merged checksum,
+    sharded on the vector engine and serial on the scalar one."""
+    ops = synthetic_stream(kind, 49152, fence_every=8192,
+                           write_ratio=write_ratio, seed=42)
+    overrides = {"ndimms": ndimms, "interleaved": True,
+                 "collect_latency_histograms": False}
+    sharded = run_shard_stream("vans", ops, shards=2, overrides=overrides,
+                               level="media", engine="vector", fork=False)
+    serial = run_shard_stream("vans", ops, shards=1, overrides=overrides,
+                              level="media", engine="scalar", fork=False)
+    assert sharded["checksum"] == serial["checksum"] == checksum
+    assert _canon(sharded) == _canon(serial)

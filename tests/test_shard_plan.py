@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.shard import default_shards, shard_session, validate_shards
+from repro.shard import validate_shards
 from repro.shard.plan import ShardPlan
 
 
@@ -56,20 +56,3 @@ def test_validate_shards_rejects_junk():
 def test_bad_ndimms_rejected():
     with pytest.raises(ConfigError):
         ShardPlan.for_target(ndimms=0, shards=2)
-
-
-def test_shard_session_scopes_the_default():
-    assert default_shards() == 1
-    with shard_session(4):
-        assert default_shards() == 4
-        with shard_session(2):
-            assert default_shards() == 2
-        assert default_shards() == 4
-    assert default_shards() == 1
-
-
-def test_shard_session_validates():
-    with pytest.raises(ConfigError):
-        with shard_session(0):
-            pass
-    assert default_shards() == 1

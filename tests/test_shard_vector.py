@@ -9,12 +9,11 @@ hypothesis-style.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError
 from repro.engine.queueing import BankedServer, Server
 from repro.media.xpoint import XPointConfig, XPointMedia
-from repro.shard import vector
 from repro.shard.merge import completion_checksum
 from repro.shard.vector import (
     banked_serve_batch,
@@ -25,9 +24,6 @@ from repro.shard.vector import (
     media_access_batch_scalar,
     serve_batch,
 )
-
-pytestmark = pytest.mark.skipif(not vector.HAVE_NUMPY,
-                                reason="numpy unavailable")
 
 jobs = st.lists(st.tuples(st.integers(min_value=0, max_value=10_000),
                           st.integers(min_value=0, max_value=500)),
@@ -106,14 +102,15 @@ def test_media_batch_matches_scalar(accesses, start):
 
 
 def test_media_access_batch_entry_point():
+    """The executor's call shape: int64/bool arrays in, int64 out."""
     addrs, writes = [0, 256, 512, 300_000], [True, False, True, False]
     issues = [0, 0, 50, 90]
-    expected = _media().access_batch(addrs, writes, issues, engine="scalar")
-    got = _media().access_batch(addrs, writes, issues, engine="vector")
-    auto = _media().access_batch(addrs, writes, issues)
-    assert list(got) == list(expected) == list(auto)
-    with pytest.raises(ConfigError, match="unknown batch engine"):
-        _media().access_batch(addrs, writes, issues, engine="simd")
+    expected = media_access_batch_scalar(_media(), addrs, writes, issues)
+    got = media_access_batch(_media(), np.asarray(addrs, dtype=np.int64),
+                             np.asarray(writes, dtype=bool),
+                             np.asarray(issues, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert list(got) == expected
 
 
 def test_instrumented_media_refuses_vector_path():
