@@ -1,15 +1,16 @@
 """Set-associative write-back caches.
 
 Timing is returned to the caller (the core model) rather than simulated
-per cycle: a lookup reports hit/miss and the level's access latency; the
-core composes levels and overlaps misses within its ROB window.
+per cycle: an access reports the level that hit and the on-chip latency
+down to it; the core adds the memory latency of LLC misses and overlaps
+them within its ROB window.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import DefaultDict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.units import KIB, MIB, is_power_of_two
@@ -45,68 +46,29 @@ L3_CONFIG = CacheConfig("L3", 32 * MIB, 16, 42)
 
 
 class Cache:
-    """One write-back, write-allocate, LRU set-associative cache.
+    """One write-back, write-allocate, LRU set-associative cache level.
 
     Lines are 64 B: a byte address's tag is its line number ``addr >> 6``
-    and its set is ``tag & (nsets - 1)``.
+    and its set is ``tag & (nsets - 1)``.  Each set is an ``OrderedDict``
+    of tag -> dirty in LRU order, built on its first touch.  The LRU walk
+    itself lives in :meth:`CacheHierarchy.access`.
     """
 
     def __init__(self, config: CacheConfig, stats: Optional[StatsRegistry] = None):
         self.config = config
         self.stats = stats or StatsRegistry()
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(config.nsets)
-        ]
+        self._sets: "DefaultDict[int, OrderedDict[int, bool]]" = (
+            defaultdict(OrderedDict))
         self._mask = config.nsets - 1
         self._ways = config.ways
         self._hits = self.stats.counter(f"{config.name}.hits")
         self._misses = self.stats.counter(f"{config.name}.misses")
         self._writebacks = self.stats.counter(f"{config.name}.writebacks")
 
-    def lookup(self, addr: int, is_write: bool) -> bool:
-        """Access the cache; returns hit?.  Hits update LRU and dirty."""
-        tag = addr >> 6
-        cset = self._sets[tag & self._mask]
-        if tag in cset:
-            cset.move_to_end(tag)
-            if is_write:
-                cset[tag] = True
-            self._hits.value += 1
-            return True
-        self._misses.value += 1
-        return False
-
-    def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
-        """Install a line; returns the victim's address if a dirty line
-        was evicted (the caller writes it back), else None."""
-        tag = addr >> 6
-        cset = self._sets[tag & self._mask]
-        victim_addr = None
-        if len(cset) >= self._ways:
-            victim_tag, victim_dirty = cset.popitem(last=False)
-            if victim_dirty:
-                self._writebacks.value += 1
-                victim_addr = victim_tag << 6
-        cset[tag] = dirty
-        return victim_addr
-
     def contains(self, addr: int) -> bool:
         tag = addr >> 6
-        return tag in self._sets[tag & self._mask]
-
-    def mark_dirty(self, addr: int) -> bool:
-        """Mark a resident line dirty (a dirty write-back from the level
-        above landed on it); returns False if the line is absent."""
-        tag = addr >> 6
-        cset = self._sets[tag & self._mask]
-        if tag not in cset:
-            return False
-        cset[tag] = True
-        return True
-
-    def invalidate(self, addr: int) -> None:
-        tag = addr >> 6
-        self._sets[tag & self._mask].pop(tag, None)
+        cset = self._sets.get(tag & self._mask)
+        return cset is not None and tag in cset
 
     @property
     def hits(self) -> int:
@@ -164,31 +126,67 @@ class CacheHierarchy:
         still holding the line, or becomes a memory write-back when none
         does; only L1 takes the write's dirty bit.
         """
+        tag = addr >> 6
         l1 = self.l1
-        if l1.lookup(addr, is_write):
+        set1 = l1._sets[tag & l1._mask]
+        if tag in set1:
+            set1.move_to_end(tag)
+            if is_write:
+                set1[tag] = True
+            l1._hits.value += 1
             return "l1", self._l1_cycles, []
-        victims: List[int] = []
+        l1._misses.value += 1
         l2 = self.l2
         l3 = self.l3
-        if l2.lookup(addr, False):
-            victim = l1.fill(addr, is_write)
-            if victim is not None and not (l2.mark_dirty(victim)
-                                           or l3.mark_dirty(victim)):
-                victims.append(victim)
+        sets2 = l2._sets
+        sets3 = l3._sets
+        set2 = sets2[tag & l2._mask]
+        l2_hit = tag in set2
+        if l2_hit:
+            set2.move_to_end(tag)
+            l2._hits.value += 1
+        else:
+            l2._misses.value += 1
+            set3 = sets3[tag & l3._mask]
+            l3_hit = tag in set3
+            if l3_hit:
+                set3.move_to_end(tag)
+                l3._hits.value += 1
+            else:
+                l3._misses.value += 1
+        victims: List[int] = []
+        if len(set1) >= l1._ways:
+            vtag, dirty = set1.popitem(False)
+            if dirty:
+                l1._writebacks.value += 1
+                vset = sets2[vtag & l2._mask]
+                if vtag not in vset:
+                    vset = sets3[vtag & l3._mask]
+                if vtag in vset:
+                    vset[vtag] = True
+                else:
+                    victims.append(vtag << 6)
+        set1[tag] = is_write
+        if l2_hit:
             return "l2", self._l2_cycles, victims
-        l3_hit = l3.lookup(addr, False)
-        victim = l1.fill(addr, is_write)
-        if victim is not None and not (l2.mark_dirty(victim)
-                                       or l3.mark_dirty(victim)):
-            victims.append(victim)
-        victim = l2.fill(addr)
-        if victim is not None and not l3.mark_dirty(victim):
-            victims.append(victim)
+        if len(set2) >= l2._ways:
+            vtag, dirty = set2.popitem(False)
+            if dirty:
+                l2._writebacks.value += 1
+                vset = sets3[vtag & l3._mask]
+                if vtag in vset:
+                    vset[vtag] = True
+                else:
+                    victims.append(vtag << 6)
+        set2[tag] = False
         if l3_hit:
             return "l3", self._l3_cycles, victims
-        victim = l3.fill(addr)
-        if victim is not None:
-            victims.append(victim)
+        if len(set3) >= l3._ways:
+            vtag, dirty = set3.popitem(False)
+            if dirty:
+                l3._writebacks.value += 1
+                victims.append(vtag << 6)
+        set3[tag] = False
         return "mem", self._l3_cycles, victims
 
     @property

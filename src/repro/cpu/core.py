@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Deque, Dict, Iterable, Optional
 
 from repro.cpu.cache import CacheHierarchy
@@ -50,15 +51,6 @@ class MemOpStats:
     llc_misses: Dict[str, int] = field(default_factory=dict)
     tlb_misses: Dict[str, int] = field(default_factory=dict)
 
-    def charge(self, phase: str, instrs: int, cycles: float,
-               llc_miss: bool, tlb_miss: bool) -> None:
-        self.instructions[phase] = self.instructions.get(phase, 0) + instrs
-        self.cycles[phase] = self.cycles.get(phase, 0.0) + cycles
-        if llc_miss:
-            self.llc_misses[phase] = self.llc_misses.get(phase, 0) + 1
-        if tlb_miss:
-            self.tlb_misses[phase] = self.tlb_misses.get(phase, 0) + 1
-
     def cpi(self, phase: str) -> float:
         instrs = self.instructions.get(phase, 0)
         return self.cycles.get(phase, 0.0) / instrs if instrs else 0.0
@@ -86,10 +78,6 @@ class TraceCore:
         # flight record stream as the memory-side spans
         self.hooks = backend.hooks
 
-        # CoreConfig.cycle_ps divides on every read; the core reads it
-        # on each LLC miss and write-back
-        self._cycle_ps = self.config.cycle_ps
-
         self.cycles = 0.0
         self.instructions = 0
         self.phase_stats = MemOpStats()
@@ -99,111 +87,133 @@ class TraceCore:
 
     # ------------------------------------------------------------------
 
-    def _now_ps(self) -> int:
-        return int(self.cycles * self._cycle_ps)
-
-    def _mem_read_cycles(self, paddr: int) -> float:
-        now = self._now_ps()
-        h = self.hooks
-        if h.on:
-            # outermost begin: this LLC miss owns the flight record, the
-            # backend's own begin/end nests inside it
-            h.flight.begin("read", paddr, issue_ps=now)
-        done = self.backend.read(paddr, now)
-        if h.on:
-            h.flight.span("cpu.llc_miss", now, done, phase="window")
-            h.flight.end(done)
-        return (done - now) / self._cycle_ps
-
-    def _cached_access(self, paddr: int, is_write: bool):
-        """Cache access; LLC misses go to the backend.  Returns
-        (latency_cycles, was_llc_miss)."""
-        level, cycles, victims = self.caches.access(paddr, is_write)
-        for victim in victims:
-            self.backend.write(victim, self._now_ps())
-        if level != "mem":
-            return cycles, False
-        return cycles + self._mem_read_cycles(paddr), True
-
-    def _walk(self, walk_addrs) -> float:
-        """Page-table walk: serialized cacheable reads."""
-        cycles = 0.0
-        for addr in walk_addrs:
-            lat, _ = self._cached_access(addr, False)
-            cycles += lat
-        return cycles
-
-    # ------------------------------------------------------------------
-
     def execute(self, trace: Iterable, max_ops: Optional[int] = None) -> None:
-        """Run the trace.  Each op is a MemOp (see repro.cpu.system)."""
+        """Run at most ``max_ops`` ops of the trace (all when None).  Each
+        op is a MemOp (see repro.cpu.system).
+
+        Per op, the only calls are the TLB hierarchy, one cache-hierarchy
+        access per page-walk read and per data access, and the backend
+        for each LLC miss, dirty victim and durable store (plus
+        Pre-translation on a marked load).  An LLC miss reads the backend
+        at the core's current time, after writing back that access's
+        dirty victims at the same time.
+        """
         cfg = self.config
-        executed = 0
-        for op in trace:
-            start_cycles = self.cycles
+        width = cfg.width
+        mlp = cfg.mlp
+        mkpt_cycles = cfg.mkpt_check_cycles
+        cycle_ps = cfg.cycle_ps
+        l1_cycles = self.caches.l1.config.latency_cycles
+        access = self.caches.access
+        translate = self.tlbs.translate
+        install = self.tlbs.install
+        read = self.backend.read
+        write = self.backend.write
+        hooks = self.hooks
+        pretranslation = self.pretranslation
+        outstanding = self._outstanding
+        phase_instrs = self.phase_stats.instructions
+        phase_cycles = self.phase_stats.cycles
+        phase_llc = self.phase_stats.llc_misses
+        phase_tlb = self.phase_stats.tlb_misses
+        cycles = self.cycles
+        instructions = self.instructions
+        for op in islice(trace, max_ops):
+            start_cycles = cycles
+            nonmem = op.nonmem
+            vaddr = op.vaddr
 
             # front end: non-memory instructions retire at full width
-            self.cycles += op.nonmem / cfg.width
-            self.instructions += op.nonmem + 1
+            cycles += nonmem / width
+            instructions += nonmem + 1
 
-            # address translation
-            tlb_missed = False
-            needs_walk, tlb_cycles, walk_addrs = self.tlbs.translate(op.vaddr)
-            self.cycles += tlb_cycles
+            # address translation; a walk is serialized cacheable reads
+            needs_walk, tlb_cycles, walk_addrs = translate(vaddr)
+            cycles += tlb_cycles
             if needs_walk:
-                tlb_missed = True
-                self.cycles += self._walk(walk_addrs)
-                self.tlbs.install(op.vaddr)
+                walk = 0.0
+                for addr in walk_addrs:
+                    level, lat, victims = access(addr, False)
+                    for victim in victims:
+                        write(victim, int(cycles * cycle_ps))
+                    if level == "mem":
+                        now = int(cycles * cycle_ps)
+                        done = (self._recorded_read(addr, now)
+                                if hooks.on else read(addr, now))
+                        lat += (done - now) / cycle_ps
+                    walk += lat
+                cycles += walk
+                install(vaddr)
 
-            if op.mkpt and self.pretranslation is not None:
-                self.cycles += cfg.mkpt_check_cycles
+            mkpt = op.mkpt and pretranslation is not None
+            if mkpt:
+                cycles += mkpt_cycles
 
             # data access
-            llc_miss = False
-            if op.is_write:
-                lat, llc_miss = self._cached_access(op.vaddr, True)
-                self.cycles += min(lat, 4.0)  # stores retire via the buffer
+            is_write = op.is_write
+            level, lat, victims = access(vaddr, is_write)
+            for victim in victims:
+                write(victim, int(cycles * cycle_ps))
+            llc_miss = level == "mem"
+            if llc_miss:
+                now = int(cycles * cycle_ps)
+                done = (self._recorded_read(vaddr, now)
+                        if hooks.on else read(vaddr, now))
+                lat += (done - now) / cycle_ps
+            if is_write:
+                # stores retire via the buffer
+                cycles += lat if lat < 4.0 else 4.0
                 if op.persistent:
                     # durable store: clwb/nt-flush to the NVRAM write
                     # queue; cost is the WPQ accept latency, which grows
                     # under backpressure
-                    now = self._now_ps()
-                    accept = self.backend.write(op.vaddr, now)
-                    self.cycles += (accept - now) / self._cycle_ps
+                    now = int(cycles * cycle_ps)
+                    cycles += (write(vaddr, now) - now) / cycle_ps
+            elif llc_miss and not op.dependent:
+                # overlap within the MLP window
+                completion = cycles + lat
+                if len(outstanding) >= mlp:
+                    gate = outstanding.popleft()
+                    if gate > cycles:
+                        cycles = gate
+                outstanding.append(completion)
+                cycles += l1_cycles
             else:
-                lat, llc_miss = self._cached_access(op.vaddr, False)
-                if llc_miss and not op.dependent:
-                    # overlap within the MLP window
-                    completion = self.cycles + lat
-                    if len(self._outstanding) >= cfg.mlp:
-                        gate = self._outstanding.popleft()
-                        if gate > self.cycles:
-                            self.cycles = gate
-                    self._outstanding.append(completion)
-                    self.cycles += self.caches.l1.config.latency_cycles
-                else:
-                    self.cycles += lat
+                cycles += lat
 
             # Pre-translation: a marked chase load returns the TLB entry
             # for the next node along with the data (Section V-B).
-            if (op.mkpt and self.pretranslation is not None
-                    and op.next_vaddr is not None):
-                if self.pretranslation.observe(op.vaddr, op.next_vaddr):
-                    self.tlbs.install(op.next_vaddr)
+            if mkpt and op.next_vaddr is not None:
+                if pretranslation.observe(vaddr, op.next_vaddr):
+                    install(op.next_vaddr)
 
-            self.phase_stats.charge(
-                op.phase, op.nonmem + 1, self.cycles - start_cycles,
-                llc_miss, tlb_missed,
-            )
-            executed += 1
-            if max_ops is not None and executed >= max_ops:
-                break
+            phase = op.phase
+            phase_instrs[phase] = phase_instrs.get(phase, 0) + nonmem + 1
+            phase_cycles[phase] = (phase_cycles.get(phase, 0.0)
+                                   + (cycles - start_cycles))
+            if llc_miss:
+                phase_llc[phase] = phase_llc.get(phase, 0) + 1
+            if needs_walk:
+                phase_tlb[phase] = phase_tlb.get(phase, 0) + 1
 
         # drain the window
-        while self._outstanding:
-            gate = self._outstanding.popleft()
-            if gate > self.cycles:
-                self.cycles = gate
+        while outstanding:
+            gate = outstanding.popleft()
+            if gate > cycles:
+                cycles = gate
+        self.cycles = cycles
+        self.instructions = instructions
+
+    def _recorded_read(self, paddr: int, now: int) -> int:
+        """Backend read of an LLC miss with an observer attached: the
+        miss opens the outermost flight record, so the backend's own
+        begin/end nest inside it."""
+        flight = self.hooks.flight
+        flight.begin("read", paddr, issue_ps=now)
+        done = self.backend.read(paddr, now)
+        flight.span("cpu.llc_miss", now, done, phase="window")
+        flight.end(done)
+        return done
 
     # ------------------------------------------------------------------
 

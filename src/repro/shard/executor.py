@@ -97,7 +97,13 @@ class _ShardState:
         self._media_batches: Optional[List[List[tuple]]] = None
         if level == "media":
             self._media_batches = self._group_media(epochs)
-        self.reset_accumulators()
+        self.counts: Dict[str, int] = {"read": 0, "write": 0, "write_nt": 0}
+        self.busy_ps = 0
+        self.checksum = 0
+        self.lat_min: Optional[int] = None
+        self.lat_max: Optional[int] = None
+        #: completion bucket -> [requests, busy_ps]
+        self.buckets: Dict[int, List[int]] = {}
 
     def _group_media(self, epochs) -> List[List[tuple]]:
         """Per epoch: ``(media, indices, locals, writes, offsets, ops)``
@@ -135,20 +141,6 @@ class _ShardState:
                                     writes, offsets, ops))
             grouped.append(batches)
         return grouped
-
-    def reset_accumulators(self) -> None:
-        self.counts: Dict[str, int] = {"read": 0, "write": 0, "write_nt": 0}
-        self.busy_ps = 0
-        self.checksum = 0
-        self.lat_min: Optional[int] = None
-        self.lat_max: Optional[int] = None
-        #: completion bucket -> [requests, busy_ps]
-        self.buckets: Dict[int, List[int]] = {}
-
-    def reset(self) -> None:
-        """Back to as-built state, so the same job can run again."""
-        self.system.reset()
-        self.reset_accumulators()
 
     # -- execution ----------------------------------------------------
 
@@ -300,7 +292,8 @@ def _refuse_recording_sessions(target: str) -> None:
 
 
 class _Prepared:
-    """A compiled, partitioned, system-built shard job (re-runnable)."""
+    """A compiled, partitioned shard job; each execution builds its own
+    shard systems."""
 
     def __init__(self, target: str, overrides: Mapping[str, object],
                  epochs: Sequence[Epoch], plan: ShardPlan, level: str,
@@ -316,21 +309,13 @@ class _Prepared:
         self.engine = engine
         self.interval_ps = interval_ps
         self.substreams = substreams
-        self.states: Optional[List[_ShardState]] = None
 
     def build_states(self) -> List[_ShardState]:
-        if self.states is None:
-            self.states = [
-                _ShardState(registry.build(self.target, **self.overrides),
-                            self.plan.owned(shard), self.substreams[shard],
-                            self.level, self.engine, self.interval_ps)
-                for shard in range(self.plan.effective)]
-        return self.states
-
-    def reset(self) -> None:
-        if self.states is not None:
-            for state in self.states:
-                state.reset()
+        return [
+            _ShardState(registry.build(self.target, **self.overrides),
+                        self.plan.owned(shard), self.substreams[shard],
+                        self.level, self.engine, self.interval_ps)
+            for shard in range(self.plan.effective)]
 
 
 def prepare(target: str, ops: Sequence[Mapping[str, object]], *,
@@ -339,8 +324,7 @@ def prepare(target: str, ops: Sequence[Mapping[str, object]], *,
             level: str = "system", engine: str = "auto",
             interval_ps: int = DEFAULT_INTERVAL_PS) -> _Prepared:
     """Compile + partition a stream against a built target (no
-    execution yet; :meth:`_Prepared.reset` lets one prepared job run
-    again)."""
+    execution yet)."""
     engine = _resolve_engine(level, engine)
     _refuse_recording_sessions(target)
     overrides = dict(overrides or {})
@@ -526,7 +510,6 @@ def run_shard_stream(target: str, ops: Sequence[Mapping[str, object]], *,
             if use_fork:
                 sim_end, payloads = execute_forked(prepared, timeout_s)
             else:
-                prepared.reset()
                 sim_end, payloads = execute_inprocess(prepared)
             break
         except ShardError:

@@ -47,6 +47,9 @@ SUITES: Dict[str, Tuple[str, ...]] = {
     "validation": ("fig9", "fig10", "fig11"),
     # LENS probing stack
     "lens": ("fig5", "fig6", "fig7"),
+    # cloud profiling and optimizations: the only mkpt, persistent and
+    # multi-phase traces through the CPU model
+    "cloud": ("fig12", "fig13"),
     # everything in the registry
     "full": (),
 }

@@ -109,6 +109,11 @@ def spec_trace(name: str, nops: int, seed: int = 0,
     """
     wl = spec_workload(name)
     rng = make_rng(seed, f"spec-{name}")
+    random = rng.random
+    randrange = rng.randrange
+    write_frac = wl.write_frac
+    llc_miss_rate = wl.llc_miss_rate
+    dependent_frac = wl.dependent_frac
     hot_lines = max(1, hot_set_bytes // CACHE_LINE)
     npages = max(1, wl.footprint_bytes // PAGE)
     recent: deque = deque(maxlen=recent_pool_pages)
@@ -118,25 +123,24 @@ def spec_trace(name: str, nops: int, seed: int = 0,
     burst_addr = 0
     p_start = wl.burst_start_prob
 
+    # MemOp(nonmem, vaddr, is_write[, dependent]) built positionally
     for _ in range(nops):
-        is_write = rng.random() < wl.write_frac
+        is_write = random() < write_frac
         if burst_left > 0:
             burst_left -= 1
             burst_addr += CACHE_LINE
-            yield MemOp(nonmem=GAP, vaddr=burst_addr, is_write=is_write)
+            yield MemOp(GAP, burst_addr, is_write)
             continue
-        if rng.random() < p_start:
-            if recent and rng.random() > wl.llc_miss_rate:
-                page = recent[rng.randrange(len(recent))]
+        if random() < p_start:
+            if recent and random() > llc_miss_rate:
+                page = recent[randrange(len(recent))]
             else:
-                page = rng.randrange(npages)
+                page = randrange(npages)
                 recent.append(page)
             burst_addr = cold_base + page * PAGE
             burst_left = COLD_BURST - 1
-            dependent = (not is_write) and rng.random() < wl.dependent_frac
-            yield MemOp(nonmem=GAP, vaddr=burst_addr, is_write=is_write,
-                        dependent=dependent)
+            dependent = (not is_write) and random() < dependent_frac
+            yield MemOp(GAP, burst_addr, is_write, dependent)
         else:
             hot_cursor = (hot_cursor + 1) % hot_lines
-            yield MemOp(nonmem=GAP, vaddr=hot_cursor * CACHE_LINE,
-                        is_write=is_write)
+            yield MemOp(GAP, hot_cursor * CACHE_LINE, is_write)

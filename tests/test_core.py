@@ -106,7 +106,9 @@ def test_phase_attribution():
     assert stats.cpi("nonexistent") == 0.0
 
 
-def test_max_ops_limit():
+@pytest.mark.parametrize("max_ops", [0, 5])
+def test_max_ops_limit(max_ops):
     core = make_core()
-    core.execute((MemOp(nonmem=0, vaddr=0) for _ in range(1000)), max_ops=5)
-    assert core.instructions == 5
+    core.execute((MemOp(nonmem=0, vaddr=0) for _ in range(1000)),
+                 max_ops=max_ops)
+    assert core.instructions == max_ops

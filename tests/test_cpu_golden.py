@@ -8,7 +8,11 @@ single hit, victim, cycle or counter:
   (hot set, a strided sweep larger than the 32 MiB L3, random writes,
   so dirty victims travel L1 -> L2 -> L3 -> memory and the STLB walks);
 * one ``FullSystem`` run of ``spec_trace("mcf", 9000)`` on
-  ``ramulator-ddr4``, floats hashed through ``repr``.
+  ``ramulator-ddr4``, floats hashed through ``repr``;
+* every ``CLOUD_WORKLOADS`` trace through ``FullSystem`` on ``vans``,
+  plain and with Pre-translation (``mkpt`` hints) over a Lazy-cache
+  DIMM: the multi-phase, dependent, ``persistent`` and ``next_vaddr``
+  paths that ``mcf``'s all-``rest`` trace never takes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from repro.cpu import FullSystem
 from repro.cpu.cache import CacheHierarchy
 from repro.cpu.tlb import TlbHierarchy
 from repro.engine.stats import StatsRegistry
+from repro.optim import PreTranslation
+from repro.workloads import CLOUD_WORKLOADS
 from repro.workloads.spec import spec_trace
 
 N_OPS = 50_000
@@ -40,6 +46,11 @@ HIERARCHY_GOLDEN = (
     "96864550eb2ed2a29198d3acd4bc7873498efc4c188117c95e646c9b8e468df5")
 CORE_GOLDEN = (
     "1eb4172287cc3630e90ad765a363b91e65cb1f486f3ef2bae360222fd419c76c")
+CLOUD_GOLDEN = (
+    "19bb2b6b44ecef36d90b32e3f75520ec2d97bad208b8c665fa8a202ce6971915")
+
+CLOUD_OPS = 3000
+CLOUD_WARMUP = 1000
 
 
 def _hierarchy_run():
@@ -87,9 +98,9 @@ def hierarchy_run():
     return _hierarchy_run()
 
 
-def _core_run():
-    system = FullSystem(registry.build("ramulator-ddr4"), name="mcf")
-    report = system.run(spec_trace("mcf", 9000), warmup_ops=1000)
+def _fingerprint(system, report):
+    """Everything a run leaves behind in the core, caches, TLBs and
+    backend, floats through ``repr``."""
     core = system.core
     return (repr(core.cycles), core.instructions,
             repr(report.cycles), report.instructions, repr(report.ipc),
@@ -101,6 +112,30 @@ def _core_run():
             sorted(core.phase_stats.tlb_misses.items()),
             sorted(system.stats.snapshot().items()),
             sorted(report.backend_counters.items()))
+
+
+def _core_run():
+    system = FullSystem(registry.build("ramulator-ddr4"), name="mcf")
+    report = system.run(spec_trace("mcf", 9000), warmup_ops=1000)
+    return _fingerprint(system, report)
+
+
+def _cloud_run():
+    """Per cloud workload, a plain run and a Pre-translation + Lazy-cache
+    run; ``phase_cpi`` keeps its insertion order (the report's)."""
+    parts = []
+    for name, trace_fn in CLOUD_WORKLOADS.items():
+        for optimized in (False, True):
+            pt = PreTranslation() if optimized else None
+            system = FullSystem(registry.build("vans", lazy_cache=optimized),
+                                name=name, pretranslation=pt)
+            report = system.run(
+                trace_fn(CLOUD_OPS + CLOUD_WARMUP, mkpt=optimized),
+                max_ops=CLOUD_OPS, warmup_ops=CLOUD_WARMUP)
+            parts.append((name, optimized, _fingerprint(system, report),
+                          repr(report.phase_cpi),
+                          sorted(pt.stats.snapshot().items()) if pt else None))
+    return parts
 
 
 def _sha(*parts) -> str:
@@ -122,3 +157,7 @@ def test_hierarchy_stream_reaches_memory_with_dirty_victims(hierarchy_run):
 
 def test_core_run_matches_golden_digest():
     assert _sha(_core_run()) == CORE_GOLDEN
+
+
+def test_cloud_runs_match_golden_digest():
+    assert _sha(_cloud_run()) == CLOUD_GOLDEN

@@ -1,11 +1,11 @@
 """EXPERIMENTS.md quotes the committed metric baselines.
 
 Every model metric EXPERIMENTS.md prints from the validation suite
-(fig9-fig11) or the LENS suite (fig5-fig7) must appear in its row at
-the precision the document prints it, read from the latest committed
-``bench/validation`` and ``bench/lens`` baselines.  A deliberate
-baseline bump therefore fails here until the document is regenerated
-with it.
+(fig9-fig11), the LENS suite (fig5-fig7) or the cloud suite
+(fig12-fig13) must appear in its row at the precision the document
+prints it, read from the latest committed ``bench/validation``,
+``bench/lens`` and ``bench/cloud`` baselines.  A deliberate baseline
+bump therefore fails here until the document is regenerated with it.
 """
 
 from __future__ import annotations
@@ -55,6 +55,14 @@ QUOTES: List[Tuple[str, str, str, Callable[[float], str]]] = [
      "VANS speedup (11c/d)", lambda v: f"{v:.0%}"),
     ("validation", "fig11.ramulator_speedup_accuracy_geomean",
      "Ramulator-PCM speedup (11d)", lambda v: f"{v:.0%}"),
+    ("cloud", "fig12b.migrations", "YCSB top-10 wear-leveling vs rest",
+     lambda v: f"{v:d} vs 0 migrations"),
+    ("cloud", "fig12b.write_amplification", "YCSB write amplification",
+     lambda v: f"{v:.1f}x"),
+    ("cloud", "fig13.lazy_geomean_speedup", "Lazy cache speedup",
+     lambda v: f"~{v - 1:.0%} geomean"),
+    ("cloud", "fig13.tlb_mpki_mean_ratio", "Pre-translation TLB MPKI",
+     lambda v: f"−{1 - v:.0%} avg"),
 ]
 
 

@@ -107,15 +107,6 @@ def test_execute_primitives_match_run():
     assert _canon(doc_f) == _canon(doc)
 
 
-def test_prepared_reset_supports_re_execution():
-    prepared = prepare("vans", _ops(300), shards=2, overrides=OVERRIDES)
-    first = execute_inprocess(prepared)
-    prepared.reset()
-    second = execute_inprocess(prepared)
-    assert first[0] == second[0]
-    assert first[1] == second[1]
-
-
 def test_system_level_rejects_vector_engine():
     with pytest.raises(ConfigError, match="scalar"):
         prepare("vans", _ops(100), shards=2, overrides=OVERRIDES,
