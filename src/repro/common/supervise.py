@@ -1,6 +1,6 @@
 """One process supervisor for every caller that runs simulation code in
-another process: the experiment runner, the litmus campaign, the shard
-plane and the serve pool.
+another process: the experiment runner, the litmus campaign and the
+serve pool.
 
 :class:`Child` is one forked child plus the parent's end of its pipe,
 with one failure vocabulary (:class:`ChildError` carrying the remote

@@ -44,17 +44,6 @@ class Server:
         self.served += 1
         return completion
 
-    def serve_batch(self, arrivals, services) -> List[int]:
-        """Serve a whole batch in order; returns the completion times.
-
-        This is the authoritative scalar loop the vectorized scan in
-        :mod:`repro.shard.vector` must match bit-for-bit — it exists so
-        the cross-check has a named reference to diff against.
-        """
-        serve = self.serve
-        return [serve(arrival, service)
-                for arrival, service in zip(arrivals, services)]
-
     def next_free(self, arrival: int) -> int:
         """Earliest time service could start for an arrival at ``arrival``."""
         return arrival if arrival > self.busy_until else self.busy_until
@@ -95,14 +84,6 @@ class BankedServer:
     def serve(self, bank: int, arrival: int, service: int) -> int:
         """Serve on bank ``bank``; returns the completion time."""
         return self.banks[bank % self.nbanks].serve(arrival, service)
-
-    def serve_batch(self, banks, arrivals, services) -> List[int]:
-        """Serve a mixed-bank batch in order (scalar reference for the
-        vectorized per-bank scan in :mod:`repro.shard.vector`)."""
-        bank_list = self.banks
-        nbanks = self.nbanks
-        return [bank_list[bank % nbanks].serve(arrival, service)
-                for bank, arrival, service in zip(banks, arrivals, services)]
 
     def next_free(self, bank: int, arrival: int) -> int:
         return self.banks[bank % self.nbanks].next_free(arrival)

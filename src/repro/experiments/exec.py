@@ -85,10 +85,10 @@ def _spec(id, run, section, description, est_cost, targets):
 REGISTRY: Dict[str, ExperimentSpec] = {s.id: s for s in [
     _spec("fig1", fig01.run, "II",
           "pointer-chase latency tiers vs. prior simulators", 1.5,
-          ["vans", "ramulator-ddr4"]),
+          ["vans", "pmep", "optane-ref"]),
     _spec("fig3", fig03.run, "III",
           "existing emulators/simulators miss the buffer tiers", 2.0,
-          ["vans", "pmep", "quartz", "dramsim2-ddr3", "ramulator-ddr4",
+          ["vans", "optane-ref", "dramsim2-ddr3", "ramulator-ddr4",
            "ramulator-pcm"]),
     _spec("fig5", fig05.run, "IV-B",
           "LENS buffer prober: read/write capacity inflections", 2.0,
@@ -98,7 +98,7 @@ REGISTRY: Dict[str, ExperimentSpec] = {s.id: s for s in [
           ["vans"]),
     _spec("fig7", fig07.run, "IV-C",
           "LENS policy prober: overwrite tails, wear leveling", 5.0,
-          ["vans"]),
+          ["vans", "vans-6dimm"]),
     _spec("fig8", characterize.run, "IV",
           "full LENS characterization of the simulated DIMM", 14.0,
           ["vans", "vans-6dimm"]),
@@ -109,20 +109,20 @@ REGISTRY: Dict[str, ExperimentSpec] = {s.id: s for s in [
           "capacity/DIMM-count scaling validation", 6.0,
           ["vans"]),
     _spec("fig11", fig11.run, "V-B",
-          "bandwidth validation across read/write mixes", 11.0,
-          ["vans-6dimm"]),
+          "SPEC IPC, LLC-miss and speedup validation", 11.0,
+          ["vans-6dimm", "ramulator-ddr4", "ramulator-pcm"]),
     _spec("fig12", fig12.run, "V-C",
           "wear-leveling case study (YCSB-like hot lines)", 6.0,
           ["vans"]),
     _spec("fig13", fig13.run, "V-C",
-          "Lazy cache case study: tail latency reduction", 51.0,
-          ["vans", "vans-lazy"]),
+          "Lazy cache and Pre-translation speedups", 51.0,
+          ["vans"]),
     _spec("tables", tables.run, "tables",
-          "Tables III-V: buffer inventory and timing parameters", 3.0,
-          ["vans", "ramulator-ddr4"]),
+          "Tables I, II, IV and V: tools, probers, SPEC MPKI, config",
+          3.0, ["ramulator-ddr4"]),
     # beyond the paper's figures: supporting studies
     _spec("scaling", scaling.run, "extra",
-          "throughput scaling with DIMM population", 3.0,
+          "throughput scaling with thread count", 3.0,
           ["vans", "ramulator-ddr4"]),
     _spec("ablation", ablation.run, "extra",
           "microarchitectural ablations (combine window, engine hold)", 5.0,
@@ -308,28 +308,17 @@ def run_stream(target: str, ops: Sequence[Mapping[str, object]],
                faults: Optional[Mapping[str, object]] = None,
                session: Optional[Mapping[str, object]] = None,
                progress: Optional[ProgressReporter] = None,
-               prof: Optional[Profiler] = None,
-               issue: str = "chained",
-               shards: Optional[int] = None
+               prof: Optional[Profiler] = None
                ) -> Dict[str, object]:
     """Drive a registry target with a raw request stream.
 
     Each op is a mapping ``{"op": <one of _STREAM_OPS>}`` with optional
     ``addr`` (default 0), ``count`` (default 1), and ``stride`` (default
     64) so clients can express compact sweeps without shipping one JSON
-    object per request.  With the default ``issue="chained"`` ops
-    execute back-to-back in simulated time (each issues at the prior
-    op's completion), which makes the outcome a pure function of the
-    stream — the served/batch bit-identity contract for raw streams.
-
-    ``issue="open"`` switches to the shard plane
-    (:func:`repro.shard.executor.run_shard_stream`): requests issue at
-    stream-declared offsets inside fence-delimited epochs, which is what
-    lets ``shards`` partition the run by iMC channel with bit-identical
-    merged output.  ``shards`` above 1 requires ``issue="open"`` — a
-    chained stream is serial by definition — and the shard plane runs
-    uninstrumented, so ``faults`` plans are chained-plane only.
-    ``shards=None`` runs one shard.
+    object per request.  Ops execute back-to-back in simulated time
+    (each issues at the prior op's completion), which makes the outcome
+    a pure function of the stream — the served/batch bit-identity
+    contract for raw streams.
 
     Op semantics:
 
@@ -359,23 +348,6 @@ def run_stream(target: str, ops: Sequence[Mapping[str, object]],
     cumulative latency, the target's instrumentation snapshot, and the
     fault report.
     """
-    if issue not in ("chained", "open"):
-        raise ValueError(f"unknown issue mode {issue!r} "
-                         f"(choose 'chained' or 'open')")
-    if issue == "open" or shards not in (None, 0, 1):
-        if issue != "open":
-            raise ValueError(
-                "shards > 1 requires issue='open': a chained stream "
-                "issues each request at the prior completion, which is "
-                "serial by definition")
-        if faults is not None:
-            raise ValueError(
-                "fault plans are chained-plane only; the shard plane "
-                "runs uninstrumented (issue='open' cannot take faults)")
-        from repro.shard.executor import run_shard_stream
-        return run_shard_stream(target, ops, shards=shards,
-                                overrides=overrides, session=session,
-                                progress=progress)
     injector = _fault_injector(faults)
     with faults_session(injector), progress_session(progress), \
             prof_session(prof), Collection() as collection:

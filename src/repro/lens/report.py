@@ -110,14 +110,16 @@ class Characterization:
                 lines.append(f"  {name:<12} read {lat:.0f} ns{bw_txt}")
         return "\n".join(lines)
 
-    def compare_to_truth(self, truth: Dict[str, int],
+    def compare_to_truth(self, truth: Dict[str, object],
                          tolerance: float = 1.0) -> Dict[str, bool]:
         """Score inferences against known parameters.
 
         ``truth`` keys: rmw_bytes, ait_bytes, wpq_bytes, lsq_bytes,
-        wear_block_bytes, interleave_bytes, rmw_entry, ait_entry.  A
-        detection within a factor of ``1 + tolerance`` counts as correct
-        (capacity probes quantize to the sweep grid).
+        wear_block_bytes, interleave_bytes, rmw_entry, ait_entry, and
+        optionally hierarchy (``"inclusive"`` or ``"independent"``).  A
+        size detection within a factor of ``1 + tolerance`` counts as
+        correct (capacity probes quantize to the sweep grid); the
+        hierarchy must match exactly.
         """
 
         def close(measured: Optional[int], expected: Optional[int]) -> bool:
@@ -149,6 +151,8 @@ class Characterization:
             if truth.get("interleave_bytes"):
                 out["interleave"] = close(self.policy.interleave_granularity,
                                           truth.get("interleave_bytes"))
+        if truth.get("hierarchy"):
+            out["hierarchy"] = self.buffers.hierarchy == truth["hierarchy"]
         return out
 
 

@@ -172,16 +172,12 @@ class ServeClient:
                       faults: Optional[Dict[str, Any]] = None,
                       progress: Any = None,
                       on_progress: Optional[
-                          Callable[[Dict[str, Any]], None]] = None,
-                      issue: Optional[str] = None,
-                      shards: Optional[int] = None
+                          Callable[[Dict[str, Any]], None]] = None
                       ) -> int:
         """Fire-and-forget stream submit; ``faults`` is a
         ``repro.faultplan/1`` plan document executed against the
         stream (the result then carries the fault report, persistence
-        audit included — the litmus thin-client path).
-        ``issue="open"`` plus ``shards`` routes the stream through the
-        server's shard plane (``repro.shard/1`` result document)."""
+        audit included — the litmus thin-client path)."""
         request_id = next(self._ids)
         message: Dict[str, Any] = {"type": "stream", "id": request_id,
                                    "target": target,
@@ -189,10 +185,6 @@ class ServeClient:
                                    "ops": list(ops)}
         if faults is not None:
             message["faults"] = faults
-        if issue is not None:
-            message["issue"] = issue
-        if shards is not None:
-            message["shards"] = int(shards)
         if progress is None and on_progress is not None:
             progress = True
         if progress:
@@ -209,16 +201,13 @@ class ServeClient:
                    raise_on_error: bool = True,
                    progress: Any = None,
                    on_progress: Optional[
-                       Callable[[Dict[str, Any]], None]] = None,
-                   issue: Optional[str] = None,
-                   shards: Optional[int] = None
+                       Callable[[Dict[str, Any]], None]] = None
                    ) -> Dict[str, Any]:
         """Submit a raw request stream and block for its result."""
         request_id = self.submit_stream(target, ops, overrides,
                                         faults=faults,
                                         progress=progress,
-                                        on_progress=on_progress,
-                                        issue=issue, shards=shards)
+                                        on_progress=on_progress)
         return self.wait(request_id, raise_on_error=raise_on_error)
 
     def follow(self, request_id: int,

@@ -93,9 +93,7 @@ def _execute_job(job: Dict[str, Any],
             job["target"], job.get("ops", ()),
             overrides=job.get("overrides"), faults=job.get("faults"),
             session=job.get("session"),
-            progress=_make_reporter(job, emit_progress),
-            issue=str(job.get("issue", "chained")),
-            shards=job.get("shards"))
+            progress=_make_reporter(job, emit_progress))
         return {"stream": stream}
     if kind == "ping":
         return {"pong": True}

@@ -27,16 +27,16 @@ Client -> server message types:
     request stream (see :func:`repro.experiments.exec.run_stream`).
     The optional ``faults`` field is a ``repro.faultplan/1`` plan
     document; the stream result then carries the fault report with
-    its persistence audit (the litmus thin-client path).  The
-    optional ``issue`` ("chained" default, or "open") and ``shards``
-    fields route the stream through the shard plane
-    (:func:`repro.shard.executor.run_shard_stream`); the result is
-    then a ``repro.shard/1`` document (same core keys, plus the
-    shard plan, merged snapshot, and completion checksum).
+    its persistence audit (the litmus thin-client path).
 ``ping`` / ``stats`` / ``experiments`` / ``targets``
     Introspection; answered inline by the daemon.
 ``bye``
     Graceful close; reply ``goodbye``.
+
+Both submit messages may also carry ``progress`` (``true`` or a dict of
+reporter knobs) to stream live progress frames.  A ``run`` or
+``stream`` message with any field outside :data:`SUBMIT_FIELDS` is
+rejected with code 2, never run with the field ignored.
 
 Error replies carry ``code``: 2 for usage errors (unknown
 experiment/target/override — message includes closest-match
@@ -47,12 +47,20 @@ failures (remote traceback attached).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, FrozenSet
 
 from repro.common.errors import ReproError
 
 #: protocol version string, echoed in every ``welcome``
 PROTOCOL = "repro.serve/1"
+
+#: the fields each submit message type may carry
+SUBMIT_FIELDS: Dict[str, FrozenSet[str]] = {
+    "run": frozenset({"type", "id", "experiment", "scale", "seed",
+                      "flight", "telemetry", "faults", "progress"}),
+    "stream": frozenset({"type", "id", "target", "overrides", "ops",
+                         "faults", "progress"}),
+}
 
 #: bound on one encoded message line (a smoke-scale result document is
 #: tens of KiB; this is sanity, not a budget)

@@ -22,7 +22,7 @@ import threading
 from typing import Any, Dict, Optional
 
 from repro import registry
-from repro.common.errors import QuotaExceededError
+from repro.common.errors import QuotaExceededError, _suggest
 from repro.experiments.exec import DEFAULT_SEED, REGISTRY
 from repro.serve import protocol
 from repro.serve.log import NULL_LOG, ServeLog
@@ -246,6 +246,19 @@ class ServeDaemon:
                              for n in registry.target_names()]})
             return session
         if mtype in ("run", "stream"):
+            known = sorted(protocol.SUBMIT_FIELDS[mtype])
+            unknown = sorted(set(message).difference(known))
+            if unknown:
+                self.metrics.inc("protocol_errors_total")
+                self.log.warning("protocol.unknown_field", mtype=mtype,
+                                 field=unknown[0], session=session.id,
+                                 tenant=session.tenant)
+                reply(protocol.error_message(
+                    2, f"unknown {mtype} field {unknown[0]!r}"
+                       f"{_suggest(unknown[0], known)}"
+                       f"; {mtype} fields: {', '.join(known)}",
+                    message.get("id")))
+                return session
             self._submit(mtype, message, session, outbox)
             return session
         self.metrics.inc("protocol_errors_total")

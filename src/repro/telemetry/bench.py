@@ -50,6 +50,11 @@ SUITES: Dict[str, Tuple[str, ...]] = {
     # cloud profiling and optimizations: the only mkpt, persistent and
     # multi-phase traces through the CPU model
     "cloud": ("fig12", "fig13"),
+    # the simulators that miss the buffer tiers, and LENS recovering
+    # every planted parameter
+    "characterize": ("fig3", "fig8"),
+    # supporting studies beyond the paper's figures
+    "extensions": ("scaling", "ablation", "energy", "numa", "bandwidth"),
     # everything in the registry
     "full": (),
 }

@@ -128,13 +128,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     ops = [{"op": args.op, "addr": 0, "count": args.count,
             "stride": args.stride}]
-    issue = None
-    if args.shards is not None or args.open_loop:
-        issue = "open"
-        ops.append({"op": "fence"})
     with ServeClient(args.host, args.port, tenant=args.tenant) as client:
-        reply = client.run_stream(args.target, ops, issue=issue,
-                                  shards=args.shards)
+        reply = client.run_stream(args.target, ops)
     stream = reply.get("stream", {})
     print(f"target {stream.get('target')}: {stream.get('ops')} op(s), "
           f"sim end {stream.get('sim_end_ps')} ps, "
@@ -336,12 +331,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           choices=["read", "write", "fence"])
     stream_p.add_argument("--count", type=int, default=1024)
     stream_p.add_argument("--stride", type=int, default=64)
-    stream_p.add_argument("--shards", type=int, default=None,
-                          help="shard the stream by iMC channel on the "
-                               "server (implies open-loop issue)")
-    stream_p.add_argument("--open", action="store_true", dest="open_loop",
-                          help="open-loop fence-delimited issue "
-                               "(the shard plane) instead of chained")
     stream_p.add_argument("--json", metavar="PATH")
     stream_p.set_defaults(func=_cmd_stream)
 

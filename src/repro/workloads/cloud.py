@@ -74,10 +74,14 @@ def redis_trace(nops: int, footprint: int = 256 * MIB, seed: int = 0,
                         mkpt=mkpt and next_vaddr is not None,
                         next_vaddr=next_vaddr, phase="read")
             emitted += 1
+            if emitted >= nops:
+                return
         if not is_get:
             yield MemOp(nonmem=6, vaddr=chain[-1], is_write=True,
                         persistent=True, phase="rest")
             emitted += 1
+            if emitted >= nops:
+                return
         # request parsing / reply formatting: hot, with occasional cold
         # metadata touches (client state, expiry tables, ...)
         for i in range(2):
@@ -87,6 +91,8 @@ def redis_trace(nops: int, footprint: int = 256 * MIB, seed: int = 0,
                 vaddr = (i * NODE) % (8 * KIB)
             yield MemOp(nonmem=40, vaddr=vaddr, phase="rest")
             emitted += 1
+            if emitted >= nops:
+                return
 
 
 def ycsb_trace(nops: int, footprint: int = 64 * MIB, seed: int = 0,
@@ -127,12 +133,16 @@ def tpcc_trace(nops: int, footprint: int = 128 * MIB, seed: int = 0,
                         mkpt=mkpt and nxt is not None, next_vaddr=nxt,
                         phase="read")
             emitted += 1
+            if emitted >= nops:
+                return
         row = (row_key * 40503 % lines) * NODE
         for j in range(4):
             yield MemOp(nonmem=10, vaddr=row + j * NODE,
                         is_write=(j >= 2), persistent=(j >= 2),
                         phase="rest")
             emitted += 1
+            if emitted >= nops:
+                return
 
 
 def fio_write_trace(nops: int, footprint: int = 512 * MIB, seed: int = 0,
@@ -163,12 +173,15 @@ def hashmap_trace(nops: int, footprint: int = 128 * MIB, seed: int = 0,
     while emitted < nops:
         key = zipf.sample()
         bucket, node = _persistent_chain(key, footprint, 2, "hashmap")
-        yield MemOp(nonmem=10, vaddr=bucket, dependent=True,
-                    mkpt=mkpt, next_vaddr=node, phase="read")
-        yield MemOp(nonmem=6, vaddr=node, dependent=True, phase="read")
-        yield MemOp(nonmem=6, vaddr=node, is_write=True, persistent=True,
-                    phase="rest")
-        emitted += 3
+        for op in (MemOp(nonmem=10, vaddr=bucket, dependent=True,
+                         mkpt=mkpt, next_vaddr=node, phase="read"),
+                   MemOp(nonmem=6, vaddr=node, dependent=True, phase="read"),
+                   MemOp(nonmem=6, vaddr=node, is_write=True,
+                         persistent=True, phase="rest")):
+            yield op
+            emitted += 1
+            if emitted >= nops:
+                return
 
 
 def linkedlist_trace(nops: int, nnodes: int = 8192, seed: int = 0,

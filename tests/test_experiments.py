@@ -87,6 +87,34 @@ class TestFig8:
         assert result.metrics["parameters_correct"] == \
             result.metrics["parameters_total"]
 
+    @pytest.mark.parametrize("hierarchy, correct",
+                             [("inclusive", 9), ("independent", 8)])
+    def test_hierarchy_verdict_is_scored(self, monkeypatch, hierarchy,
+                                         correct):
+        """Every printed verdict counts: a wrong inclusive/independent
+        inference costs one of nine parameters."""
+        from repro.lens.probers.buffer import BufferReport
+        from repro.lens.probers.policy import PolicyReport
+        from repro.lens.report import Characterization
+
+        def fake_characterize(target_factory, **kwargs):
+            return Characterization(
+                "fake",
+                BufferReport(read_capacities=[16 * KIB, 16 * MIB],
+                             write_capacities=[512, 4 * KIB],
+                             read_entry_sizes=[256, 4 * KIB],
+                             hierarchy=hierarchy),
+                policy=PolicyReport(migration_granularity=64 * KIB,
+                                    interleave_granularity=4 * KIB))
+
+        monkeypatch.setattr(exp_characterize, "characterize",
+                            fake_characterize)
+        result = exp_characterize.run()
+        assert result.metrics["parameters_total"] == 9
+        assert result.metrics["parameters_correct"] == correct
+        assert result.rows[-1] == ("hierarchy", hierarchy, "inclusive",
+                                   "yes" if correct == 9 else "NO")
+
 
 class TestFig9:
     def test_read_latency_accuracy(self):

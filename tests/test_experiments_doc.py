@@ -1,10 +1,11 @@
 """EXPERIMENTS.md quotes the committed metric baselines.
 
 Every model metric EXPERIMENTS.md prints from the validation suite
-(fig9-fig11), the LENS suite (fig5-fig7) or the cloud suite
-(fig12-fig13) must appear in its row at the precision the document
-prints it, read from the latest committed ``bench/validation``,
-``bench/lens`` and ``bench/cloud`` baselines.  A deliberate baseline
+(fig9-fig11), the LENS suite (fig5-fig7), the cloud suite (fig12-fig13)
+or the characterize suite (fig3, fig8) must appear in its row at the
+precision the document prints it, read from the latest committed
+``bench/validation``, ``bench/lens``, ``bench/cloud`` and
+``bench/characterize`` baselines.  A deliberate baseline
 bump therefore fails here until the document is regenerated with it.
 """
 
@@ -63,6 +64,10 @@ QUOTES: List[Tuple[str, str, str, Callable[[float], str]]] = [
      lambda v: f"~{v - 1:.0%} geomean"),
     ("cloud", "fig13.tlb_mpki_mean_ratio", "Pre-translation TLB MPKI",
      lambda v: f"−{1 - v:.0%} avg"),
+    ("characterize", "fig8.parameters_correct",
+     "LENS vs planted ground truth", lambda v: f"**{v:d}/"),
+    ("characterize", "fig8.parameters_total",
+     "LENS vs planted ground truth", lambda v: f"/{v:d} correct**"),
 ]
 
 

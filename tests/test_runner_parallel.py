@@ -44,6 +44,28 @@ class TestMetadata:
             for target in spec.targets:
                 registry.spec(target)  # raises if unknown
 
+    @pytest.mark.parametrize("exp_id", ["fig1", "fig6", "ablation",
+                                        "energy", "numa", "bandwidth"])
+    def test_targets_are_what_the_experiment_builds(self, monkeypatch,
+                                                    exp_id):
+        """``--list`` and the daemon's ``experiments`` verb publish
+        ``targets``: it must name exactly the registry targets the run
+        builds (directly or through a factory)."""
+        from repro import registry
+        built = set()
+        build, factory = registry.build, registry.factory
+
+        def recording(wrapped):
+            def call(name, **overrides):
+                built.add(name)
+                return wrapped(name, **overrides)
+            return call
+
+        monkeypatch.setattr(registry, "build", recording(build))
+        monkeypatch.setattr(registry, "factory", recording(factory))
+        run_experiment(exp_id, Scale.SMOKE)
+        assert built == set(REGISTRY[exp_id].targets)
+
     def test_costs_and_sections_present(self):
         for spec in REGISTRY.values():
             assert spec.est_cost > 0

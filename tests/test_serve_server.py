@@ -160,6 +160,36 @@ class TestErrorsOverWire:
                 assert "lazy_cahe" in message
                 assert "lazy_cache" in message
 
+    def test_unknown_stream_field_rejected(self):
+        """A field the protocol does not define is refused, not dropped:
+        a stale client asking for ``shards`` must not get a plain
+        chained result back."""
+        with running_daemon(workers=1) as daemon:
+            with ServeClient("127.0.0.1", daemon.port) as client:
+                request_id = next(client._ids)
+                client._send({"type": "stream", "id": request_id,
+                              "target": "vans", "ops": STREAM_OPS,
+                              "shards": 2})
+                reply = client._wait_for(request_id,
+                                         raise_on_error=False)
+                assert reply["type"] == "error"
+                assert reply["code"] == 2
+                assert "'shards'" in reply["error"]
+                assert daemon.collect_metrics()["counters"][
+                    "protocol_errors_total"] == 1
+                assert daemon.scheduler.snapshot()["submitted"] == 0
+
+    def test_unknown_run_field_suggests_closest(self):
+        with running_daemon(workers=1) as daemon:
+            with ServeClient("127.0.0.1", daemon.port) as client:
+                request_id = next(client._ids)
+                client._send({"type": "run", "id": request_id,
+                              "experiment": "fig1", "sede": 7})
+                with pytest.raises(ServeError) as exc_info:
+                    client.wait(request_id)
+                assert exc_info.value.code == 2
+                assert "'sede'; did you mean 'seed'?" in str(exc_info.value)
+
     def test_unknown_target_suggestion(self):
         with running_daemon(workers=1) as daemon:
             with ServeClient("127.0.0.1", daemon.port) as client:
