@@ -2,9 +2,9 @@
 """Simulation as a service: a session against a `repro-serve` daemon.
 
 Hosts a daemon in-process (so the example is self-contained), then
-walks the client API: run a named experiment through a session, reuse
-warm-cached targets, drive a raw request stream, and bounce off the
-per-tenant quota.
+walks the client API: run a named experiment through a session (twice,
+to see a rerun reproduce it), drive a raw request stream, and bounce
+off the per-tenant quota.
 
 Run:  python examples/serve_client.py
 
@@ -26,7 +26,7 @@ STREAM_OPS = [
 
 
 def main() -> None:
-    with running_daemon(workers=2, warm_cache=8, max_active=1,
+    with running_daemon(workers=2, max_active=1,
                         max_queued=1) as daemon:
         print(f"daemon up on 127.0.0.1:{daemon.port}")
 
@@ -45,15 +45,14 @@ def main() -> None:
                 print(f"  {key}: {value}")
             print(f"  manifest session: {reply['manifest']['session']}")
 
-            # Run it again: the worker reuses its warm-cached targets
-            # (reset to post-construction state), skipping rebuilds.
+            # Run it again: the worker process persists, but every job
+            # builds its targets fresh, so the rerun reproduces the run.
             again = client.run_experiment(EXPERIMENT, seed=42)
-            cache = again["warm_cache"]
-            print(f"\nwarm cache after rerun: {cache['hits']} hit(s), "
-                  f"{cache['misses']} miss(es)")
             assert ([payload_fingerprint(d) for d in again["results"]]
                     == [payload_fingerprint(d) for d in reply["results"]]), \
-                "warm reuse must be bit-identical"
+                "a rerun must be bit-identical"
+            print(f"\nrerun on worker {again['worker_pid']}: "
+                  f"payload identical to the first run")
 
             # A raw request stream against any registry target.
             stream = client.run_stream("vans", STREAM_OPS)["stream"]

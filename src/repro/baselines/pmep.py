@@ -84,8 +84,3 @@ class PMEPModel(TargetSystem):
     def profile_points(self):
         yield from super().profile_points()
         yield ("pmep.write_nt", self, "write_nt")
-
-    def reset(self) -> None:
-        """Warm-cache reset: idle DRAM and throttle server."""
-        self.dram.reset()
-        self._throttle.reset()

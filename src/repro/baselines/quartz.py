@@ -68,10 +68,3 @@ class QuartzModel(TargetSystem):
     @property
     def injected_stall_ps(self) -> int:
         return self._epoch_skew_ps
-
-    def reset(self) -> None:
-        """Warm-cache reset: idle DRAM, epoch accounting back to zero."""
-        self.dram.reset()
-        self._pending_delay_ps = 0
-        self._accesses = 0
-        self._epoch_skew_ps = 0

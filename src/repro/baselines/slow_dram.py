@@ -57,12 +57,6 @@ class SlowDramSystem(TargetSystem):
     def fence(self, now: int) -> int:
         return now
 
-    def reset(self) -> None:
-        """Warm-cache reset: idle DRAM state machines, zero counters
-        (``self.stats`` aliases the device registry, which
-        ``dram.reset()`` already zeroes)."""
-        self.dram.reset()
-
 
 def dramsim2_ddr3(**kwargs) -> SlowDramSystem:
     """DRAMSim2 configured for DDR3-1600 (the paper's Figure 3a bar)."""

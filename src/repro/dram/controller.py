@@ -223,14 +223,3 @@ class DramController:
     def row_hit_rate(self) -> float:
         total = self._hits.value + self._misses.value
         return self._hits.value / total if total else 0.0
-
-    def reset(self) -> None:
-        """Forget all timing/row state (used between experiment phases)."""
-        t = self.timing
-        self.__init__(
-            timing=t,
-            mapping=self.mapping,
-            row_policy=self.row_policy,
-            record_commands=self.record_commands,
-            stats=self.stats,
-        )

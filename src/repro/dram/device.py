@@ -87,11 +87,3 @@ class DramDevice:
         misses = self.stats.counter("dram.row_misses").value
         total = hits + misses
         return hits / total if total else 0.0
-
-    def reset(self) -> None:
-        """As-built state: idle channels *and* zeroed device counters
-        (row hits/misses etc.), so a warm-cache-reused device is
-        indistinguishable from a fresh one."""
-        for channel in self.channels:
-            channel.reset()
-        self.stats.reset()

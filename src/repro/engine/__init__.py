@@ -18,13 +18,12 @@ Two complementary timing facilities live here:
 
 from repro.engine.event import Engine, Event
 from repro.engine.queueing import FcfsStation, Server, BankedServer
-from repro.engine.request import Op, Request, RequestPool
+from repro.engine.request import Op, Request
 from repro.engine.stats import Counter, Histogram, LatencySeries, StatsRegistry
 
 __all__ = [
     "Engine",
     "Event",
-    "RequestPool",
     "FcfsStation",
     "Server",
     "BankedServer",

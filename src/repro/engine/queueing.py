@@ -48,11 +48,6 @@ class Server:
         """Earliest time service could start for an arrival at ``arrival``."""
         return arrival if arrival > self.busy_until else self.busy_until
 
-    def reset(self) -> None:
-        self.busy_until = 0
-        self.total_busy = 0
-        self.served = 0
-
     def utilization(self, elapsed: int) -> float:
         """Fraction of ``elapsed`` spent busy (0 if no time passed)."""
         return self.total_busy / elapsed if elapsed > 0 else 0.0
@@ -87,10 +82,6 @@ class BankedServer:
 
     def next_free(self, bank: int, arrival: int) -> int:
         return self.banks[bank % self.nbanks].next_free(arrival)
-
-    def reset(self) -> None:
-        for bank in self.banks:
-            bank.reset()
 
     @property
     def served(self) -> int:
@@ -170,12 +161,6 @@ class FcfsStation:
         """Time at which the buffer becomes empty (``now`` if already empty)."""
         self._expire(now)
         return self._completions[-1] if self._completions else now
-
-    def reset(self) -> None:
-        self._completions.clear()
-        self.admitted = 0
-        self.total_wait = 0
-        self.peak_occupancy = 0
 
     def publish(self, bus, prefix: str) -> None:
         """Register pull-gauges: admissions, blocked time, peak occupancy."""

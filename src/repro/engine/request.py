@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 CACHE_LINE = 64
 
@@ -49,9 +49,7 @@ class Request:
 
     Slotted (no per-instance ``__dict__``): request-heavy replays
     allocate millions of these, and the slot layout roughly halves the
-    per-request footprint while speeding up field access.  Hot loops
-    that burn through short-lived requests can additionally recycle
-    instances through a :class:`RequestPool`.
+    per-request footprint while speeding up field access.
 
     Attributes:
         addr: physical byte address (64B aligned for line requests).
@@ -103,51 +101,3 @@ class Request:
             f"Request(id={self.req_id}, {self.op.name} addr={self.addr:#x} "
             f"size={self.size} issue={self.issue_ps} complete={self.complete_ps})"
         )
-
-
-class RequestPool:
-    """Free-list of :class:`Request` objects for request-heavy loops.
-
-    ``acquire`` hands out a fully re-initialized request (every field
-    reset, a *fresh* ``req_id`` drawn from the global counter — recycled
-    objects are indistinguishable from newly constructed ones);
-    ``release`` returns it to the pool.  Only release requests the
-    caller owns outright: a released request must not be referenced by
-    flight records, result rows, or any other retained structure.
-    """
-
-    __slots__ = ("capacity", "_free")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
-        self._free: List[Request] = []
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, addr: int, size: int = CACHE_LINE, op: Op = Op.READ,
-                issue_ps: int = 0, mkpt_hint: bool = False) -> Request:
-        """A reset request (recycled when available, else newly built)."""
-        free = self._free
-        if free:
-            req = free.pop()
-            req.addr = addr
-            req.size = size
-            req.op = op
-            req.issue_ps = issue_ps
-            req.accept_ps = 0
-            req.complete_ps = 0
-            req.mkpt_hint = mkpt_hint
-            req.req_id = next(_next_request_id)
-            req.meta = None
-            req.flight = None
-            return req
-        return Request(addr=addr, size=size, op=op, issue_ps=issue_ps,
-                       mkpt_hint=mkpt_hint)
-
-    def release(self, request: Request) -> None:
-        """Return ``request`` to the free list (drop refs it carries)."""
-        if len(self._free) < self.capacity:
-            request.meta = None
-            request.flight = None
-            self._free.append(request)

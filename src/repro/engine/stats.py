@@ -123,15 +123,6 @@ class Histogram:
             "p99": self.percentile(99.0),
         }
 
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-        self._samples.clear()
-        self._stride = 1
-        self._phase = 0
-
 
 class LatencySeries:
     """Ordered (x, value) series — one point per sweep step or iteration."""
@@ -199,9 +190,3 @@ class StatsRegistry:
     def histograms(self) -> Dict[str, Histogram]:
         """Histograms by name (a copy; safe to iterate while recording)."""
         return dict(self._histograms)
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
-        for hist in self._histograms.values():
-            hist.reset()

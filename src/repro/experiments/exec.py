@@ -11,9 +11,7 @@ Two front ends drive it:
 * :mod:`repro.experiments.runner` — the batch CLI (campaign fan-out,
   rendering, JSON export);
 * :mod:`repro.serve` — the long-lived session daemon, whose worker
-  pool calls :func:`run_experiment`/:func:`run_stream` directly and
-  relies on the registry warm cache to reuse built targets across
-  sessions.
+  pool calls :func:`run_experiment`/:func:`run_stream` directly.
 
 Both produce bit-identical :class:`ExperimentResult` payloads for the
 same ``(experiment, scale, seed)``; serving identity travels in the
@@ -48,7 +46,6 @@ from repro.progress import NULL_PROGRESS, ProgressReporter  # noqa: F401  (re-ex
 from repro.progress import session as progress_session
 from repro.prof.profiler import Profiler
 from repro.prof.profiler import session as prof_session
-from repro.target import TargetSystem
 from repro.telemetry import TelemetrySampler
 from repro.telemetry import session as telemetry_session
 
@@ -177,21 +174,6 @@ def _fault_injector(faults: Optional[Mapping[str, object]]
     return FaultInjector(plan, checker=PersistenceChecker())
 
 
-def _release_collected(collection: Collection) -> None:
-    """Park the experiment's registry-built systems in the warm cache.
-
-    A no-op unless :func:`repro.registry.enable_warm_cache` is active;
-    :func:`repro.registry.release` itself rejects anything that ran
-    under a flight or fault session, so this is safe to call
-    unconditionally after the instrumentation snapshot is frozen.
-    """
-    if not registry.warm_cache_enabled():
-        return
-    for system in collection.systems:
-        if isinstance(system, TargetSystem):
-            registry.release(system)
-
-
 def run_experiment(exp_id: str, scale: Scale = Scale.SMOKE,
                    seed: int = DEFAULT_SEED,
                    flight: Optional[FlightRecorder] = None,
@@ -260,7 +242,6 @@ def run_experiment(exp_id: str, scale: Scale = Scale.SMOKE,
             out = spec.run(scale)
             results = [out] if isinstance(out, ExperimentResult) else list(out)
             snapshot = collection.merged()
-    _release_collected(collection)
     wall_s = time.time() - start
     flight_summary: Dict[str, object] = {}
     if flight is not None:
@@ -353,7 +334,7 @@ def run_stream(target: str, ops: Sequence[Mapping[str, object]],
             prof_session(prof), Collection() as collection:
         if progress is not None:
             progress.phase(f"stream:{target}")
-        system = registry.acquire(target, **dict(overrides or {}))
+        system = registry.build(target, **dict(overrides or {}))
         fa = injector if injector is not None else NULL_FAULTS
         now = 0
         counts = {op: 0 for op in _STREAM_OPS}
@@ -386,7 +367,6 @@ def run_stream(target: str, ops: Sequence[Mapping[str, object]],
                 busy_ps += now - issued
             counts[op] += count
         snapshot = collection.merged()
-    _release_collected(collection)
     faults_doc: Dict[str, object] = {}
     if injector is not None:
         faults_doc = fault_report(injector)

@@ -7,10 +7,7 @@ Components publish three kinds of signals into an :class:`InstrumentBus`:
 * **gauges** — pull-style: a callable registered once and evaluated only
   at :meth:`InstrumentBus.snapshot` time.  Gauges are how the queueing
   primitives (station occupancy, blocked time, server busy time) become
-  observable with *zero* hot-path cost — nothing is recorded per event;
-* **spans** — wall-clock timing context managers for harness-side
-  profiling (never mixed into simulation snapshots, which must stay
-  bit-deterministic).
+  observable with *zero* hot-path cost — nothing is recorded per event.
 
 Buses are hierarchical: ``bus.scope("imc").scope("dimm0")`` returns a
 view that prefixes every path with ``imc.dimm0.``, so a component can be
@@ -27,9 +24,7 @@ self-describing snapshot of what its run did.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 from repro.engine.stats import Counter, Histogram
 
@@ -58,9 +53,6 @@ class _NullCounter:
     def add(self, amount: int = 1) -> None:
         pass
 
-    def reset(self) -> None:
-        pass
-
 
 class _NullHistogram:
     """Histogram look-alike that drops everything."""
@@ -68,9 +60,6 @@ class _NullHistogram:
     __slots__ = ()
 
     def record(self, value: int) -> None:
-        pass
-
-    def reset(self) -> None:
         pass
 
 
@@ -91,15 +80,8 @@ class NullBus:
     def scope(self, prefix: str) -> "NullBus":
         return self
 
-    @contextmanager
-    def span(self, path: str) -> Iterator[None]:
-        yield
-
     def snapshot(self) -> Dict[str, Number]:
         return {}
-
-    def reset(self) -> None:
-        pass
 
 
 _NULL_COUNTER = _NullCounter()
@@ -114,7 +96,7 @@ def _join(prefix: str, path: str) -> str:
 
 
 class InstrumentBus:
-    """Hierarchical counter/histogram/gauge/span sink."""
+    """Hierarchical counter/histogram/gauge sink."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -144,16 +126,6 @@ class InstrumentBus:
     def scope(self, prefix: str) -> "ScopedBus":
         """A view of this bus that prefixes every path with ``prefix.``."""
         return ScopedBus(self, prefix)
-
-    @contextmanager
-    def span(self, path: str) -> Iterator[None]:
-        """Record the wall-clock duration of a block (microseconds)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed_us = int((time.perf_counter() - start) * 1e6)
-            self.histogram(path).record(elapsed_us)
 
     # -- reading -------------------------------------------------------
 
@@ -189,20 +161,6 @@ class InstrumentBus:
         return BusSignals(dict(self._counters), dict(self._histograms),
                           dict(self._gauges))
 
-    def reset(self) -> None:
-        """Zero every push-style signal (warm-cache reuse lifecycle).
-
-        Counters and histograms are reset in place so components holding
-        direct references keep recording into the same objects.  Gauges
-        are pull-style closures over live component state — they read
-        fresh values automatically once the components themselves reset —
-        so registrations are kept as-is.
-        """
-        for counter in self._counters.values():
-            counter.reset()
-        for hist in self._histograms.values():
-            hist.reset()
-
 
 class ScopedBus:
     """Prefixing view over a root :class:`InstrumentBus`."""
@@ -225,9 +183,6 @@ class ScopedBus:
     def scope(self, prefix: str) -> "ScopedBus":
         return ScopedBus(self._root, _join(self._prefix, prefix))
 
-    def span(self, path: str):
-        return self._root.span(_join(self._prefix, path))
-
     def snapshot(self) -> Dict[str, object]:
         """Snapshot of this scope's subtree, with scope-relative paths."""
         prefix = self._prefix + "."
@@ -241,16 +196,6 @@ class ScopedBus:
             elif path.startswith(prefix):
                 snap[path[len(prefix):]] = value
         return snap
-
-    def reset(self) -> None:
-        """Zero the push-style signals under this scope's prefix only."""
-        prefix = self._prefix + "."
-        for path, counter in self._root._counters.items():
-            if path.startswith(prefix):
-                counter.reset()
-        for path, hist in self._root._histograms.items():
-            if path.startswith(prefix):
-                hist.reset()
 
 
 AnyBus = Union[InstrumentBus, ScopedBus, NullBus]
@@ -283,19 +228,13 @@ class Collection:
     def __exit__(self, *exc) -> None:
         _ACTIVE_COLLECTIONS.remove(self)
         # Freeze the merged snapshot now: gauges are pull-style, so a
-        # system that keeps running after the experiment ends (reused
-        # across experiments, exercised by a later harness step) would
-        # otherwise silently mutate this collection's view of the past.
+        # system that keeps running after the experiment ends (exercised
+        # by a later harness step) would otherwise silently mutate this
+        # collection's view of the past.
         self._frozen = self._merge_live()
 
     def register(self, system: object) -> None:
         self._systems.append(system)
-
-    @property
-    def systems(self) -> tuple:
-        """Everything announced while active (e.g. for warm-cache
-        release once the experiment that built them is done)."""
-        return tuple(self._systems)
 
     def __len__(self) -> int:
         return len(self._systems)

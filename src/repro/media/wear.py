@@ -181,13 +181,3 @@ class WearLeveler:
         """The ``n`` most-written 256B lines (requires track_line_wear)."""
         ranked = sorted(self.line_wear.items(), key=lambda kv: kv[1], reverse=True)
         return ranked[:n]
-
-    def reset(self) -> None:
-        self._write_counts.clear()
-        self.migration_counts.clear()
-        self._remap.clear()
-        self._blocked_until.clear()
-        self.line_wear.clear()
-        self._migrations.reset()
-        self._stall_ps.reset()
-        self._writes.reset()

@@ -111,15 +111,3 @@ class XPointMedia:
     @property
     def writes(self) -> int:
         return self._writes.value
-
-    def reset_stats(self) -> None:
-        self._reads.reset()
-        self._writes.reset()
-        self._bytes_read.reset()
-        self._bytes_written.reset()
-        self.banks.reset()
-
-    def reset(self) -> None:
-        """As-built state: idle partitions, zero counters (warm-cache
-        lifecycle; the media holds no data, only timing state)."""
-        self.reset_stats()

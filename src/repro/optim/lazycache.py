@@ -128,20 +128,6 @@ class LazyCache:
         self._lz2.clear()
         return dirty
 
-    def reset(self) -> None:
-        """Back to the as-built state: empty WLB/LZ1/LZ2, zero counters.
-
-        The counters live in the owning system's shared stats registry —
-        resetting them here keeps the cache self-contained when driven
-        standalone; a registry-level reset is idempotent on top.
-        """
-        self._wlb.clear()
-        self._lz1.clear()
-        self._lz2.clear()
-        self._c_absorbed.reset()
-        self._c_evicted.reset()
-        self._c_marked.reset()
-
     @property
     def absorbed(self) -> int:
         return self._c_absorbed.value

@@ -17,7 +17,6 @@ from repro.prof.profiler import (
     current,
     profile_from_dict,
     session,
-    uninstrument,
     validate_profile,
 )
 from repro.prof.export import (
@@ -36,7 +35,6 @@ __all__ = [
     "Profiler",
     "current",
     "session",
-    "uninstrument",
     "profile_from_dict",
     "validate_profile",
     "to_collapsed",

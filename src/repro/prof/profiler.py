@@ -163,7 +163,7 @@ class Profiler:
             if d is None:
                 continue
             if getattr(d.get(name), "__repro_prof__", False):
-                continue  # already wrapped (warm-cache reuse)
+                continue  # already wrapped
             bound = getattr(obj, name, None)
             if bound is None:
                 continue
@@ -180,8 +180,7 @@ class Profiler:
         """Delete every wrapper this profiler installed.
 
         Only bindings still pointing at our wrapper are touched, so a
-        system released mid-session (which :func:`uninstrument` already
-        stripped) or rewrapped by someone else is left alone.
+        method rewrapped by someone else is left alone.
         """
         for obj, name, wrapper in self._wrapped:
             d = getattr(obj, "__dict__", None)
@@ -287,27 +286,6 @@ def profile_from_dict(doc: Dict[str, Any]) -> Dict[str, Any]:
               "self_ns": e["self_ns"]} for e in doc["stacks"]),
             key=lambda e: e["stack"]),
     }
-
-
-def uninstrument(system: Any) -> None:
-    """Strip any profiler wrappers from a system's attribution points.
-
-    Used by the registry when a system is released back to the warm
-    cache, so a parked system never leaks profiling into a later
-    session.  Safe to call on systems that were never instrumented.
-    """
-    d = getattr(system, "__dict__", None)
-    if d is None or "_prof_wrapped" not in d:
-        return
-    points = getattr(system, "profile_points", None)
-    if points is not None:
-        for _key, obj, name in points():
-            od = getattr(obj, "__dict__", None)
-            if od is not None and getattr(od.get(name), "__repro_prof__",
-                                          False):
-                del od[name]
-    d.pop("prof", None)
-    d.pop("_prof_wrapped", None)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from repro.baselines.pmep import PMEPModel
 from repro.baselines.quartz import QuartzModel
@@ -49,7 +49,6 @@ from repro.flight.recorder import current as current_flight
 from repro.instrument import NULL_BUS, InstrumentBus, announce
 from repro.progress import current as current_progress
 from repro.prof.profiler import current as current_prof
-from repro.prof.profiler import uninstrument as prof_uninstrument
 from repro.reference import OptaneReference
 from repro.target import TargetSystem
 from repro.telemetry.sampler import current as current_telemetry
@@ -139,7 +138,7 @@ def _validate_overrides(target_spec: TargetSpec,
 
 
 def _attach_session(system: Any) -> Any:
-    """Wire a built (or warm-cache reused) system into the session.
+    """Wire a freshly built system into the session.
 
     Announces to the active instrumentation Collection, sets the
     session's flight recorder, fault injector and tick sinks on the
@@ -180,32 +179,12 @@ def build(name: str, **overrides: Any):
     The built system is announced to the active instrumentation
     :class:`~repro.instrument.Collection` (if any).  Unknown override
     names raise :class:`~repro.common.errors.UnknownOverrideError`.
-
-    When the warm cache is enabled (:func:`enable_warm_cache`) and a
-    previously :func:`release`-d system matches ``(name, overrides)``
-    exactly, that system is reused instead of rebuilt — except under an
-    active flight/fault session, which always gets a fresh build (see
-    the warm-cache notes below).
+    Every call constructs a new system.
     """
     target_spec = spec(name)
     _validate_overrides(target_spec, overrides)
-    if (_WARM_LIMIT > 0 and not current_flight().enabled
-            and not current_faults().enabled):
-        key = _warm_key(name, overrides)
-        if key is not None:
-            parked = _WARM_CACHE.get(key)
-            if parked:
-                system = parked.pop()
-                if not parked:
-                    del _WARM_CACHE[key]
-                _WARM_STATS["hits"] += 1
-                return _attach_session(system)
-            _WARM_STATS["misses"] += 1
     kwargs = {**target_spec.defaults, **overrides}
-    system = target_spec.builder(**kwargs)
-    if isinstance(system, TargetSystem):
-        system._registry_key = _warm_key(name, overrides)
-    return _attach_session(system)
+    return _attach_session(target_spec.builder(**kwargs))
 
 
 def factory(name: str, **overrides: Any) -> Callable[[], TargetSystem]:
@@ -216,111 +195,6 @@ def factory(name: str, **overrides: Any) -> Callable[[], TargetSystem]:
     """
     _validate_overrides(spec(name), overrides)
     return lambda: build(name, **overrides)
-
-
-# ----------------------------------------------------------------------
-# warm target cache (build → acquire → run → reset → release)
-# ----------------------------------------------------------------------
-#
-# Building a full VANS system is the dominant fixed cost of short served
-# sessions: config-tree derivation, station wiring, AIT table setup.
-# When serving many sessions against the same named targets the registry
-# can park finished systems and hand them back out instead, relying on
-# the ``TargetSystem.reset()`` lifecycle to restore as-built state.
-#
-# Eligibility is strict — a system that ran under a flight or fault
-# session is never parked, and such sessions always build fresh.  An
-# injector publishes its gauges onto the system's instrument bus, and
-# InstrumentBus.reset() keeps registered gauges, so a reused system
-# would carry the previous session's fault counters into the next
-# one's snapshots; flight runs are kept on fresh builds alike.  The
-# tick sinks are only hooks, so release() simply detaches them.
-
-_WARM_LIMIT = 0
-_WARM_CACHE: Dict[Tuple[Any, ...], List[Any]] = {}
-_WARM_STATS = {"hits": 0, "misses": 0, "parked": 0, "dropped": 0,
-               "ineligible": 0}
-
-
-def _warm_key(name: str, overrides: Mapping[str, Any]):
-    """Cache key for (target, overrides); ``None`` if unhashable."""
-    try:
-        key = (name, tuple(sorted(overrides.items())))
-        hash(key)
-        return key
-    except TypeError:
-        return None
-
-
-def enable_warm_cache(limit: int = 8) -> None:
-    """Turn on warm-target reuse, parking at most ``limit`` systems."""
-    global _WARM_LIMIT
-    _WARM_LIMIT = max(0, int(limit))
-    for k in _WARM_STATS:
-        _WARM_STATS[k] = 0
-
-
-def disable_warm_cache() -> None:
-    """Turn off reuse and drop every parked system."""
-    global _WARM_LIMIT
-    _WARM_LIMIT = 0
-    _WARM_CACHE.clear()
-
-
-def warm_cache_enabled() -> bool:
-    return _WARM_LIMIT > 0
-
-
-def warm_cache_stats() -> Dict[str, int]:
-    """Counters plus current occupancy (for /stats and tests)."""
-    stats = dict(_WARM_STATS)
-    stats["size"] = sum(len(v) for v in _WARM_CACHE.values())
-    stats["limit"] = _WARM_LIMIT
-    return stats
-
-
-def acquire(name: str, **overrides: Any):
-    """The warm-cache lifecycle spelling of :func:`build`.
-
-    Reuses a parked system when one matches ``(name, overrides)``
-    exactly, building fresh otherwise.  A reused system has been
-    :meth:`~repro.target.TargetSystem.reset` and produces bit-identical
-    results to a fresh build.  Pair with :func:`release` when the
-    session is done with it.
-    """
-    return build(name, **overrides)
-
-
-def release(system: Any) -> bool:
-    """Return a system acquired via :func:`acquire`/:func:`build` to the
-    warm cache.  Returns ``True`` if it was parked for reuse.
-
-    Every observer is detached from the system's hooks first.  Systems
-    that ran under a flight or fault session are then never parked (see
-    the warm-cache notes above); the cache is also bounded, so a full
-    cache simply drops the system.
-    """
-    if _WARM_LIMIT <= 0 or not isinstance(system, TargetSystem):
-        return False
-    key = getattr(system, "_registry_key", None)
-    if key is None:
-        return False
-    hooks = system.hooks
-    observed = hooks.flight.enabled or hooks.faults.enabled
-    hooks.set()
-    if observed:
-        _WARM_STATS["ineligible"] += 1
-        return False
-    # Likewise strip any host-profiler wrappers before parking, so a
-    # reused system never times (or slows) a later unprofiled session.
-    prof_uninstrument(system)
-    system.reset()
-    if sum(len(v) for v in _WARM_CACHE.values()) >= _WARM_LIMIT:
-        _WARM_STATS["dropped"] += 1
-        return False
-    _WARM_CACHE.setdefault(key, []).append(system)
-    _WARM_STATS["parked"] += 1
-    return True
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Simulation-as-a-service: the ``repro-serve`` session engine.
 
-Batch reproduction (``repro-experiments``) pays the full interpreter +
-target-construction cost per invocation.  This package keeps a daemon
+Batch reproduction (``repro-experiments``) pays interpreter start-up
+and the experiment imports per invocation.  This package keeps a daemon
 resident instead: clients open *sessions* over a line-oriented
 JSON protocol (:mod:`repro.serve.protocol`), submit named experiments
 or raw request streams, and stream back results, telemetry, and run
@@ -11,10 +11,9 @@ Layering (everything reuses the batch execution core in
 :mod:`repro.experiments.exec`, so served results are bit-identical to
 batch runs):
 
-* :mod:`repro.serve.pool` — persistent, watchdogged worker processes;
-  each keeps the target registry's warm cache enabled, so repeated
-  sessions reuse built systems via the ``build → acquire → run →
-  reset → release`` lifecycle instead of rebuilding.
+* :mod:`repro.serve.pool` — persistent, watchdogged worker processes
+  that skip interpreter start-up and imports per job; every job builds
+  its targets fresh through the registry.
 * :mod:`repro.serve.scheduler` — packs session jobs onto the bounded
   pool with fair round-robin per-tenant queueing, per-tenant quotas,
   and backpressure (bounded queues, 429-style rejection).

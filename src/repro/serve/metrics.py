@@ -5,8 +5,8 @@ point.  It owns the daemon-level event counters (connections, protocol
 errors, progress frames relayed) and, on :meth:`~ServeMetrics.collect`,
 folds in one internally consistent snapshot from each subsystem — the
 scheduler (queue depths, per-tenant fairness series), the worker pool
-(worker states, job wall-time histogram, merged warm-cache stats), and
-the session book.  The same collected document backs three consumers:
+(worker states, job wall-time histogram), and the session book.  The
+same collected document backs three consumers:
 
 * the ``metrics`` protocol verb in JSON form (``repro-top``, tests);
 * :func:`render_prometheus` — text exposition format 0.0.4, all series
@@ -230,24 +230,6 @@ def render_prometheus(doc: Dict[str, Any]) -> str:
                      job_ms.get("sum", 0) / 1000.0, suffix="_sum")
             w.sample("repro_serve_job_wall_seconds",
                      job_ms.get("count", 0), suffix="_count")
-        warm = pool.get("warm_cache") or {}
-        if warm:
-            w.family("repro_serve_warm_cache_events_total", "counter",
-                     "Warm target cache events summed across workers.")
-            for key in ("hits", "misses", "parked", "dropped",
-                        "ineligible"):
-                if key in warm:
-                    w.sample("repro_serve_warm_cache_events_total",
-                             warm[key], {"event": key})
-            w.family("repro_serve_warm_cache_size", "gauge",
-                     "Parked systems across worker warm caches.")
-            w.sample("repro_serve_warm_cache_size", warm.get("size", 0))
-            hits, misses = warm.get("hits", 0), warm.get("misses", 0)
-            if hits + misses:
-                w.family("repro_serve_warm_cache_hit_ratio", "gauge",
-                         "hits / (hits + misses) across workers.")
-                w.sample("repro_serve_warm_cache_hit_ratio",
-                         hits / (hits + misses))
 
     jobs = doc.get("jobs")
     if jobs is not None:

@@ -2,10 +2,10 @@
 
 Unlike the batch runner's process-per-experiment scheduler
 (:func:`repro.common.supervise.run_jobs`), serving wants workers that
-*stay up*: each worker process enables the target registry's warm
-cache at startup, so consecutive jobs against the same target reuse a
-built system (``build → acquire → run → reset → release``) instead of
-paying construction again.
+*stay up*: a job pays neither interpreter start-up nor the experiment
+imports, only its own run.  Every job builds its targets fresh through
+the registry, so a worker carries no simulated state from one job to
+the next.
 
 Each worker is one :class:`repro.common.supervise.Child` plus one
 parent-side watcher thread:
@@ -106,17 +106,15 @@ def _execute_job(job: Dict[str, Any],
     raise ReproError(f"unknown job kind {kind!r}")
 
 
-def _worker_main(conn, warm_cache_limit: int) -> None:
-    """Worker-process entry: serve jobs until the pipe closes.
-
-    The warm cache lives *here*, in the worker — a parent-side cache
-    would be useless because systems never cross the process boundary.
-    """
+def _worker_main(conn) -> None:
+    """Worker-process entry: serve jobs until the pipe closes."""
     import os
+    import signal
 
-    from repro import registry
-    if warm_cache_limit > 0:
-        registry.enable_warm_cache(warm_cache_limit)
+    # A worker respawned after ``repro-serve daemon`` routed SIGTERM
+    # into its event loop inherits that routing; restore the default so
+    # Child.stop() terminates it and the signal never reaches the loop.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     pid = os.getpid()
 
     def emit_progress(frame: Dict[str, Any]) -> None:
@@ -134,7 +132,6 @@ def _worker_main(conn, warm_cache_limit: int) -> None:
             return
         try:
             payload = _execute_job(job, emit_progress)
-            payload["warm_cache"] = registry.warm_cache_stats()
             payload["worker_pid"] = pid
             message: Outcome = ("ok", payload)
         except ReproError as exc:
@@ -161,16 +158,13 @@ class _Worker:
         #: the metrics snapshot; written only by this watcher thread)
         self.busy = False
         self.jobs_done = 0
-        #: last cumulative warm-cache stats doc this worker reported
-        self.warm_cache: Dict[str, int] = {}
         self._spawn()
         self.thread = threading.Thread(
             target=self._loop, name=f"serve-worker-{index}", daemon=True)
         self.thread.start()
 
     def _spawn(self) -> None:
-        self.child = Child(_worker_main, self.pool.warm_cache_limit,
-                           duplex=True)
+        self.child = Child(_worker_main, duplex=True)
         self.pool.stats["spawned"] += 1
 
     def _respawn(self) -> None:
@@ -179,8 +173,6 @@ class _Worker:
         self.child.stop()
         self._spawn()
         self.pool.stats["respawned"] += 1
-        # the fresh process starts with a cold warm cache by design
-        self.warm_cache = {}
 
     def _loop(self) -> None:
         while True:
@@ -235,19 +227,14 @@ class _Worker:
                     except Exception:
                         pass
                 continue
-            if message[0] == "ok":
-                payload = message[1]
-                if isinstance(payload, dict) and "warm_cache" in payload:
-                    self.warm_cache = dict(payload["warm_cache"])
             return message
 
 
 class WorkerPool:
-    """Fixed-size pool of persistent warm-cache worker processes."""
+    """Fixed-size pool of persistent worker processes."""
 
-    def __init__(self, workers: int = 2, warm_cache: int = 8,
+    def __init__(self, workers: int = 2,
                  job_timeout_s: Optional[float] = None) -> None:
-        self.warm_cache_limit = warm_cache
         self.job_timeout_s = job_timeout_s
         self.stats: Dict[str, int] = {
             "spawned": 0, "respawned": 0, "completed": 0,
@@ -315,10 +302,10 @@ class WorkerPool:
         """One internally consistent view of the pool.
 
         Everything — outcome counters, idle/busy occupancy, per-worker
-        states, the merged warm-cache stats, and the job wall-time
-        histogram — is read under one acquisition of the pool lock, so
-        a ``stats``/``metrics`` reply can never show e.g. more busy
-        workers than settled jobs explain.  ``uptime_s`` comes from a
+        states, and the job wall-time histogram — is read under one
+        acquisition of the pool lock, so a ``stats``/``metrics`` reply
+        can never show e.g. more busy workers than settled jobs
+        explain.  ``uptime_s`` comes from a
         monotonic start time, immune to wall-clock steps.
         """
         with self._lock:
@@ -330,11 +317,6 @@ class WorkerPool:
                                 if w.child.is_alive())
             snap["uptime_s"] = time.monotonic() - self._started
             snap["job_ms"] = self._job_ms.as_stats()
-            warm: Dict[str, int] = {}
-            for worker in self._workers:
-                for key, value in worker.warm_cache.items():
-                    warm[key] = warm.get(key, 0) + int(value)
-            snap["warm_cache"] = warm
             snap["worker_states"] = [
                 {"index": w.index, "pid": w.child.pid,
                  "alive": w.child.is_alive(), "busy": w.busy,

@@ -38,7 +38,7 @@ class ServeDaemon:
     """Long-lived simulation service (sessions over JSON lines)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 workers: int = 2, warm_cache: int = 8,
+                 workers: int = 2,
                  max_active: int = 2, max_queued: int = 8,
                  job_timeout_s: Optional[float] = None,
                  seed: int = DEFAULT_SEED,
@@ -48,8 +48,7 @@ class ServeDaemon:
         self.port = port
         self.seed = seed
         self.log = log if log is not None else NULL_LOG
-        self.pool = WorkerPool(workers=workers, warm_cache=warm_cache,
-                               job_timeout_s=job_timeout_s)
+        self.pool = WorkerPool(workers=workers, job_timeout_s=job_timeout_s)
         self.scheduler = SessionScheduler(
             self.pool, default_quota=TenantQuota(max_active=max_active,
                                                  max_queued=max_queued))

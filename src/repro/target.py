@@ -118,27 +118,6 @@ class TargetSystem(ABC):
     def reset_state(self) -> None:
         """Optional: drop all internal state between experiment phases."""
 
-    def reset(self) -> None:
-        """Restore as-built state so a reused instance is indistinguishable
-        from a freshly constructed one.
-
-        This is the warm-cache lifecycle hook (build → acquire → run →
-        reset → release): the target registry parks released systems and
-        hands them back out instead of rebuilding, relying on ``reset()``
-        to make a reused target produce bit-identical results to a fresh
-        build.  Unlike :meth:`reset_state` (which only drops buffer/cache
-        contents between experiment phases), ``reset()`` must also zero
-        every statistic, station clock, and accumulated timing state.
-
-        The default covers systems whose only mutable state is a stats
-        registry plus whatever :meth:`reset_state` clears; stateful
-        systems override it and reset every component.
-        """
-        self.reset_state()
-        stats = getattr(self, "stats", None)
-        if stats is not None:
-            stats.reset()
-
     def line_span(self, start_addr: int, length: int):
         """Iterate the 64B line addresses covering a byte range."""
         addr = start_addr - (start_addr % CACHE_LINE)

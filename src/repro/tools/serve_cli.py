@@ -13,10 +13,10 @@ Subcommands:
     Client one-shot for a raw request stream against a registry target.
 ``smoke``
     Self-contained end-to-end check (used by CI): hosts a daemon
-    in-process, runs ``fig1`` through a session twice — cold build and
-    warm-cache reuse — and asserts both are bit-identical to the batch
-    runner's payload, exercises one quota rejection, and verifies the
-    shutdown leaves no worker processes behind.
+    in-process, runs ``fig1`` through a session twice — the second time
+    on the same persistent worker — and asserts both are bit-identical
+    to the batch runner's payload, exercises one quota rejection, and
+    verifies the shutdown leaves no worker processes behind.
 
 Exit codes follow the repo convention: 0 ok, 1 failure, 2 usage
 (unknown experiment/target/override — with closest-match suggestions).
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -49,21 +50,24 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
 
     log = ServeLog(level=args.log_level, json_lines=args.log_json)
     daemon = ServeDaemon(host=args.host, port=args.port,
-                         workers=args.workers, warm_cache=args.warm_cache,
+                         workers=args.workers,
                          max_active=args.max_active,
                          max_queued=args.max_queued,
                          job_timeout_s=args.job_timeout, seed=args.seed,
                          log=log, metrics_port=args.metrics_port)
 
     async def _serve() -> None:
-        await daemon.start()
-        print(f"repro-serve listening on {daemon.host}:{daemon.port} "
-              f"({args.workers} worker(s), warm cache "
-              f"{args.warm_cache})", flush=True)
-        if daemon._metrics_http is not None:
-            print(f"repro-serve metrics on http://{daemon.host}:"
-                  f"{daemon._metrics_http.port}/metrics", flush=True)
+        # SIGTERM takes the SIGINT path: cancel this task, so the pool
+        # shutdown below still runs and no worker outlives the daemon.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         try:
+            await daemon.start()
+            print(f"repro-serve listening on {daemon.host}:{daemon.port} "
+                  f"({args.workers} worker(s))", flush=True)
+            if daemon._metrics_http is not None:
+                print(f"repro-serve metrics on http://{daemon.host}:"
+                      f"{daemon._metrics_http.port}/metrics", flush=True)
             await daemon.serve_forever()
         except asyncio.CancelledError:
             pass
@@ -168,7 +172,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                         flight=make_flight_recorder(flight))]
     print(f"[batch {args.experiment} + flight recorder]", flush=True)
 
-    with running_daemon(workers=2, warm_cache=8, max_active=1,
+    with running_daemon(workers=2, max_active=1,
                         max_queued=1, seed=seed) as daemon:
         with ServeClient("127.0.0.1", daemon.port,
                          tenant="smoke") as client:
@@ -179,35 +183,36 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                 frames.append(frame)
                 live(frame)
 
-            cold = client.run_experiment(
+            streamed = client.run_experiment(
                 args.experiment, seed=seed, telemetry=telemetry,
                 progress=True, on_progress=on_progress)
             if sys.stdout.isatty():
                 print(flush=True)     # end the live status line
-            warm = client.run_experiment(args.experiment, seed=seed,
-                                         telemetry=telemetry)
-            served_cold = [payload_fingerprint(d) for d in cold["results"]]
-            served_warm = [payload_fingerprint(d) for d in warm["results"]]
-            check(served_cold == batch,
-                  "served (cold build, progress streaming) == batch "
-                  "runner, bit-identical")
-            check(served_warm == batch,
-                  "served (warm-cache reuse) == batch runner, "
+            again = client.run_experiment(args.experiment, seed=seed,
+                                          telemetry=telemetry)
+            served_first = [payload_fingerprint(d)
+                            for d in streamed["results"]]
+            served_again = [payload_fingerprint(d)
+                            for d in again["results"]]
+            check(served_first == batch,
+                  "served (progress streaming) == batch runner, "
                   "bit-identical")
+            check(served_again == batch
+                  and again["worker_pid"] == streamed["worker_pid"],
+                  "served again on the same persistent worker == batch "
+                  "runner, bit-identical")
             check(len(frames) >= 2,
                   f"progress streamed >=2 frames before the terminal "
                   f"reply ({len(frames)} frame(s))")
             sims = [f.get("sim_time_ns", 0) for f in frames]
             check(sims == sorted(sims),
                   "progress sim_time_ns is monotone non-decreasing")
-            check(warm["warm_cache"]["hits"] > 0,
-                  f"warm cache reused targets "
-                  f"({warm['warm_cache']['hits']} hit(s))")
             check(all(d["session"] == {"session": client.session,
                                        "tenant": "smoke"}
-                      for d in cold["results"]),
+                      for d in streamed["results"]),
                   "results carry the session identity")
-            check(cold["manifest"]["session"]["session"] == client.session,
+            check(streamed["manifest"]["session"]["session"]
+                  == client.session,
                   "manifest carries the session identity")
 
             flighted = client.run_experiment(args.experiment, seed=seed,
@@ -226,8 +231,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             third = client.submit_stream("vans", busy_ops)
 
             # mid-run metrics scrape: jobs are still active/queued, so
-            # the exposition must already carry scheduler, pool, and
-            # warm-cache series and parse strictly
+            # the exposition must already carry scheduler and pool
+            # series and parse strictly
             from repro.serve.metrics import parse_exposition
             exposition = client.metrics(format="prometheus")
             try:
@@ -240,11 +245,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                   f"({len(samples)} sample(s))")
             check(any(k.startswith("repro_serve_scheduler_jobs_total")
                       for k in samples)
-                  and "repro_serve_workers" in samples
-                  and any(k.startswith(
-                      "repro_serve_warm_cache_events_total")
-                      for k in samples),
-                  "exposition covers scheduler, pool, and warm cache")
+                  and "repro_serve_workers" in samples,
+                  "exposition covers scheduler and pool")
             check(samples.get("repro_serve_jobs_in_flight", 0) >= 1,
                   "mid-run scrape sees in-flight jobs")
             metrics_doc = client.metrics()
@@ -283,9 +285,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="TCP port (0 picks a free one)")
     daemon_p.add_argument("--workers", type=int, default=2,
                           help="persistent worker processes")
-    daemon_p.add_argument("--warm-cache", type=int, default=8,
-                          help="built targets each worker may park "
-                               "for reuse (0 disables)")
     daemon_p.add_argument("--max-active", type=int, default=2,
                           help="per-tenant concurrently running jobs")
     daemon_p.add_argument("--max-queued", type=int, default=8,

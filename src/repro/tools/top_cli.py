@@ -66,14 +66,9 @@ def render(doc: Dict[str, Any], history: List[float],
         f"  active {sched.get('active', 0)}"
         f"  {_fmt_rate(rate)}  {sparkline(history)}")
 
-    warm = pool.get("warm_cache", {})
-    hits, misses = warm.get("hits", 0), warm.get("misses", 0)
-    ratio = f"{hits / (hits + misses):5.1%}" if hits + misses else "  n/a"
     job_ms = pool.get("job_ms", {}) or {}
     lines.append(
-        f"cache      hit {ratio}  (h {hits} / m {misses}, "
-        f"parked {warm.get('size', 0)})"
-        f"   job p50 {job_ms.get('p50', 0):6.0f}ms"
+        f"job wall   p50 {job_ms.get('p50', 0):6.0f}ms"
         f"  p99 {job_ms.get('p99', 0):6.0f}ms")
 
     lines.append("")

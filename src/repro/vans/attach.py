@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from repro.common.errors import SimulationError
 from repro.engine.event import Engine
-from repro.engine.request import Op, Request, RequestPool
+from repro.engine.request import Op, Request
 from repro.engine.stats import StatsRegistry
 from repro.target import TargetSystem
 
@@ -41,9 +41,6 @@ class AttachedMemory:
         self._c_sent = self.stats.counter("attach.requests")
         self._c_rejected = self.stats.counter("attach.rejected")
         self._hist = self.stats.histogram("attach.latency_ps")
-        #: free-list backing :meth:`issue`; hosts that churn through
-        #: millions of fire-and-forget requests recycle them here
-        self.pool = RequestPool()
 
     @property
     def outstanding(self) -> int:
@@ -83,24 +80,11 @@ class AttachedMemory:
 
     def issue(self, addr: int, op: Op = Op.READ,
               on_complete: Optional[Callable[[Request], None]] = None) -> bool:
-        """Pooled convenience over :meth:`send`.
-
-        Builds the request from the port's :class:`RequestPool` at the
-        engine's current time and recycles it as soon as ``on_complete``
-        returns — the callback must not retain the request (copy the
-        fields it needs).  Returns False when the port is saturated.
-        """
-        request = self.pool.acquire(addr, op=op, issue_ps=self.engine.now)
-
-        def _recycle(req: Request) -> None:
-            if on_complete is not None:
-                on_complete(req)
-            self.pool.release(req)
-
-        if not self.send(request, on_complete=_recycle):
-            self.pool.release(request)
-            return False
-        return True
+        """Convenience over :meth:`send`: issue a 64B ``op`` request to
+        ``addr`` at the engine's current time.  Returns False when the
+        port is saturated."""
+        return self.send(Request(addr=addr, op=op, issue_ps=self.engine.now),
+                         on_complete)
 
     def send_fence(self, now: Optional[int] = None,
                    on_complete: Optional[Callable[[Request], None]] = None

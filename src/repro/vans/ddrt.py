@@ -110,12 +110,3 @@ class DdrtChannel:
     @property
     def transactions(self) -> int:
         return self._c_reads.value + self._c_writes.value
-
-    def reset(self) -> None:
-        """As-built state: free credits, idle buses, zero transaction
-        counters (warm-cache lifecycle)."""
-        self.credits.reset()
-        self.command_bus.reset()
-        self.data_bus.reset()
-        self._c_reads.reset()
-        self._c_writes.reset()

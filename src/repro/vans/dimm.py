@@ -524,27 +524,6 @@ class NvramDimm:
         self._wc_block = None
         self._wc_lines = set()
 
-    def reset(self) -> None:
-        """As-built state for warm-cache reuse: every station clock, tag
-        store, combining register, and statistic back to construction
-        values, so a reused DIMM times requests bit-identically to a
-        fresh one."""
-        self.invalidate_buffers()
-        self._table_cache.clear()
-        self._wc_last_ps = 0
-        self._wc_drain_ps = 0
-        self._last_dir_write = None
-        self.lsq.reset()
-        self.engine.reset()
-        self.media_port.reset()
-        self.bus.reset()
-        self.dram.reset()
-        self.media.reset()
-        self.wear.reset()
-        if self.lazy is not None:
-            self.lazy.reset()
-        self.stats.reset()
-
     @property
     def rmw_read_amplification(self) -> float:
         """Bytes filled into the RMW buffer per requested read byte."""

@@ -155,24 +155,6 @@ class IntegratedMemoryController:
         wpq.retire_at(max(lsq_admit, xfer_done))
         return accept
 
-    def reset(self) -> None:
-        """As-built state for warm-cache reuse: empty queues, idle write
-        buses, reset DIMMs/DDR-T channels, zero counters."""
-        for dimm in self.dimms:
-            dimm.reset()
-        for wpq in self.wpqs:
-            wpq.reset()
-        for rpq in self.rpqs:
-            rpq.reset()
-        for write_bus in self.write_buses:
-            write_bus.reset()
-        if self.ddrt is not None:
-            for channel in self.ddrt:
-                channel.reset()
-        self._c_reads.reset()
-        self._c_writes.reset()
-        self._c_fences.reset()
-
     def fence(self, now: int) -> int:
         """Drain every WPQ and DIMM LSQ; returns the global drain time."""
         self._c_fences.add()

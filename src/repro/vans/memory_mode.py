@@ -122,15 +122,6 @@ class MemoryModeSystem(TargetSystem):
         self._tags.clear()
         self.nvram.reset_state()
 
-    def reset(self) -> None:
-        """Full warm-cache reset: cache tags, DRAM timing state, the
-        backing NVRAM system, and all counters back to as-built."""
-        self._tags.clear()
-        self.dram.reset()
-        self.nvram.reset()
-        self.stats.reset()
-        self.instrument.reset()
-
     def instrument_snapshot(self) -> dict:
         """Cache-layer stats plus the backing NVRAM system's snapshot."""
         snap = dict(self.stats.snapshot())

@@ -107,18 +107,6 @@ class VansSystem(TargetSystem):
         for dimm in self.imc.dimms:
             dimm.invalidate_buffers()
 
-    def reset(self) -> None:
-        """Full warm-cache reset: every station, buffer, wear counter,
-        statistic, and instrument-bus signal back to as-built values.
-
-        After this a reused ``VansSystem`` produces byte-identical
-        timings, counters, and telemetry to a freshly constructed one
-        (the registry's reuse==rebuild bit-identity contract).
-        """
-        self.imc.reset()
-        self.stats.reset()
-        self.instrument.reset()
-
     # -- introspection ----------------------------------------------------
 
     @property

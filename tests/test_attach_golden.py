@@ -1,6 +1,6 @@
 """Golden digests of the attach port, the one caller of the event kernel.
 
-A seeded mixed stream of reads, non-temporal stores, fences and pooled
+A seeded mixed stream of reads, non-temporal stores, fences and
 :meth:`AttachedMemory.issue` calls runs through an ``AttachedMemory``
 port (``max_outstanding=16``) over ``vans``, ``pmep`` and
 ``memory-mode``.  The host drives the engine two ways when the port is

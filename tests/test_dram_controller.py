@@ -91,11 +91,3 @@ def test_commands_not_recorded_by_default():
     ctrl = make(record=False)
     ctrl.access(0, False, 0)
     assert ctrl.commands == []
-
-
-def test_reset_clears_state():
-    ctrl = make(record=True)
-    ctrl.access(0, False, 0)
-    ctrl.reset()
-    assert ctrl.commands == []
-    assert ctrl.row_hit_rate == 0.0

@@ -38,10 +38,8 @@ def test_parallel_channels_beat_single():
 
 
 def test_access_block_streams_lines():
-    dev = DramDevice(DDR4_2666, nchannels=1)
-    one = dev.access(0, False, 0)
-    dev.reset()
-    block = dev.access_block(0, 4096, False, 0)
+    one = DramDevice(DDR4_2666, nchannels=1).access(0, False, 0)
+    block = DramDevice(DDR4_2666, nchannels=1).access_block(0, 4096, False, 0)
     # 64 pipelined line accesses cost far less than 64 serial latencies
     assert block < one * 16
     assert block > one

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.engine.event import Engine
-from repro.engine.request import Op, Request, RequestPool
+from repro.engine.request import Request
 
 
 def test_events_fire_in_time_order():
@@ -293,36 +293,8 @@ def test_cancel_after_fire_is_noop():
 
 
 # ---------------------------------------------------------------------------
-# pooled requests: recycled objects must never leak stale state
+# requests
 # ---------------------------------------------------------------------------
-
-def test_request_pool_reuse_resets_state():
-    pool = RequestPool(capacity=4)
-    req = pool.acquire(0x1000, op=Op.WRITE_NT, issue_ps=77)
-    req.accept_ps = 90
-    req.complete_ps = 120
-    req.annotate("k", 1)
-    req.flight = object()
-    old_id = req.req_id
-    pool.release(req)
-    recycled = pool.acquire(0x2000)
-    assert recycled is req
-    assert recycled.addr == 0x2000
-    assert recycled.op is Op.READ
-    assert recycled.issue_ps == 0
-    assert recycled.accept_ps == 0 and recycled.complete_ps == 0
-    assert recycled.meta is None
-    assert recycled.flight is None
-    assert recycled.req_id != old_id     # fresh id: indistinguishable from new
-
-
-def test_request_pool_capacity_bound():
-    pool = RequestPool(capacity=2)
-    reqs = [Request(addr=i) for i in range(5)]
-    for req in reqs:
-        pool.release(req)
-    assert len(pool) == 2
-
 
 def test_request_is_slotted():
     req = Request(addr=0)

@@ -74,6 +74,6 @@ def test_serve_client_example(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "bit-identical" not in out      # the assert inside held
-    assert "warm cache after rerun" in out
+    assert "payload identical to the first run" in out
     assert "rejected (code 429)" in out
     assert "shut down cleanly" in out

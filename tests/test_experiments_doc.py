@@ -1,12 +1,13 @@
 """EXPERIMENTS.md quotes the committed metric baselines.
 
-Every model metric EXPERIMENTS.md prints from the validation suite
-(fig9-fig11), the LENS suite (fig5-fig7), the cloud suite (fig12-fig13)
-or the characterize suite (fig3, fig8) must appear in its row at the
-precision the document prints it, read from the latest committed
-``bench/validation``, ``bench/lens``, ``bench/cloud`` and
-``bench/characterize`` baselines.  A deliberate baseline
-bump therefore fails here until the document is regenerated with it.
+Every model metric EXPERIMENTS.md prints from the smoke suite (fig1,
+Table IV), the validation suite (fig9-fig11), the LENS suite
+(fig5-fig7), the cloud suite (fig12-fig13), the characterize suite
+(fig3, fig8) or the extensions suite (scaling, ablation, energy, numa,
+bandwidth) must appear in its row at the precision the document prints
+it, read from the latest committed baseline under ``bench/<suite>``.  A
+deliberate baseline bump therefore fails here until the document is
+regenerated with it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,27 @@ from repro.telemetry.bench import find_baseline
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
+#: first cells of the extension-studies table rows
+SCALING = "`scaling` — thread scaling (Sec. VI discussion)"
+ABLATION = "`ablation` — design-choice ablations"
+ENERGY = "`energy` — energy accounting"
+NUMA = "`numa` — remote-socket access"
+BANDWIDTH = "`bandwidth` — pattern x op matrix"
+
 #: (suite dir, metric key, row label, rendering at the printed precision);
 #: the label is a table row's first cell, or a bullet's opening words
 QUOTES: List[Tuple[str, str, str, Callable[[float], str]]] = [
+    ("smoke", "fig1a.pmep_store_over_nt", "PMEP bandwidth ordering",
+     lambda v: f"store/nt = {v:.2f}"),
+    ("smoke", "fig1b.pmep_flatness", "PMEP pointer-chase latency",
+     lambda v: f"max/min = {v:.2f}"),
+    ("smoke", "fig1b.vans_dynamic_range", "Optane/VANS latency",
+     lambda v: f"({v:.1f}x)"),
+    ("smoke", "tab4.worst_relative_mpki_error",
+     "Generator calibration (Table IV)",
+     lambda v: f"worst relative MPKI error {v:.0%}"),
+    ("characterize", "fig3b.pcm_flatness", "Fig 3b: Ramulator-PCM",
+     lambda v: f"(max/min {v:.1f},"),
     ("lens", "fig5c.raw_over_rpw_small", "RaW vs R+W, small regions",
      lambda v: f"RaW/R+W = {v:.1f}"),
     ("lens", "fig5c.raw_over_rpw_large", "RaW vs R+W, ≥LSQ reach",
@@ -68,6 +87,26 @@ QUOTES: List[Tuple[str, str, str, Callable[[float], str]]] = [
      "LENS vs planted ground truth", lambda v: f"**{v:d}/"),
     ("characterize", "fig8.parameters_total",
      "LENS vs planted ground truth", lambda v: f"/{v:d} correct**"),
+    ("extensions", "scaling-read.nvram_scaling_16t", SCALING,
+     lambda v: f"scales only {v:.1f}x from 1→16 threads"),
+    ("extensions", "scaling-write.nvram_scaling_16t", SCALING,
+     lambda v: f"flatlines at ~{v:.1f}x"),
+    ("extensions", "ablation-combining.combining_gain", ABLATION,
+     lambda v: f"Write combining: {v:.1f}x"),
+    ("extensions", "ablation-engine-hold.plateau_ratio", ABLATION,
+     lambda v: f"Serial RMW engine: {v:.1f}x"),
+    ("extensions", "ablation-critical-first.latency_saving_ns", ABLATION,
+     lambda v: f"Critical-block-first: {v:.0f}ns"),
+    ("extensions", "energy-rw.random_write_over_seq_read", ENERGY,
+     lambda v: f"cost ~{v:.0f}x the energy/MB"),
+    ("extensions", "energy-lazy.energy_saving", ENERGY,
+     lambda v: f"removes {v:.0%}"),
+    ("extensions", "numa.nvram_added_ns", NUMA,
+     lambda v: f"adds ~{round(v, -1):.0f}ns"),
+    ("extensions", "bandwidth-matrix.seq_over_rand_write", BANDWIDTH,
+     lambda v: f"beat random by ~{v:.0f}x"),
+    ("extensions", "bandwidth-matrix.mixed_vs_pure_avg", BANDWIDTH,
+     lambda v: f"reach only ~{v:.2f} of the mean"),
 ]
 
 

@@ -2,9 +2,8 @@
 
 Every built system owns one :class:`~repro.hooks.Hooks` bundle and
 shares it with every station it builds, so observers set on it after
-the build reach every station; ``registry.release`` detaches them all;
-Memory Mode's backing NVRAM follows the outer recorder and injector but
-never ticks.
+the build reach every station; Memory Mode's backing NVRAM follows the
+outer recorder and injector but never ticks.
 """
 
 from __future__ import annotations
@@ -13,12 +12,10 @@ import pytest
 
 from repro import registry
 from repro.common.errors import UnknownOverrideError
-from repro.faults import NULL_FAULTS, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.faults.persistence import PersistenceChecker
 from repro.flight import NULL_FLIGHT, FlightRecorder
 from repro.hooks import Hooks
-from repro.progress import ProgressReporter
-from repro.telemetry import TelemetrySampler
 
 VANS_CASES = [
     pytest.param("vans", {}, id="vans"),
@@ -102,28 +99,6 @@ def test_observers_set_after_build_reach_every_station():
     assert injector.requests == 120                       # on_request
     assert sum(map(len, checker._acks.values())) == 96    # note_write
     assert checker._fences == [bare[-1]]                  # note_fence
-
-
-def test_release_detaches_everything():
-    registry.enable_warm_cache(limit=4)
-    try:
-        ticking = registry.build("vans")
-        ticking.hooks.set(ticks=[TelemetrySampler(),
-                                 ProgressReporter(emit=lambda frame: None)])
-        assert ticking.hooks.on
-        assert registry.release(ticking) is True
-        observed = registry.build("pmep")
-        observed.hooks.set(FlightRecorder(),
-                           FaultInjector(FaultPlan()), [_Ticks()])
-        assert registry.release(observed) is False     # never parked
-        for system in (ticking, observed):
-            hooks = system.hooks
-            assert not hooks.on
-            assert hooks.flight is NULL_FLIGHT
-            assert hooks.faults is NULL_FAULTS
-            assert hooks.ticks == ()
-    finally:
-        registry.disable_warm_cache()
 
 
 def test_memory_mode_inner_vans_never_ticks():

@@ -72,11 +72,3 @@ def test_invalid_configs():
         XPointConfig(npartitions=5)
     with pytest.raises(ConfigError):
         XPointConfig(capacity_bytes=1000)
-
-
-def test_reset_stats():
-    media = make()
-    media.access(0, False, 0)
-    media.reset_stats()
-    assert media.reads == 0
-    assert media.banks.banks[0].busy_until == 0

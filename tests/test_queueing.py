@@ -29,13 +29,6 @@ class TestServer:
         assert server.utilization(100) == pytest.approx(0.5)
         assert server.served == 2
 
-    def test_reset(self):
-        server = Server()
-        server.serve(0, 100)
-        server.reset()
-        assert server.busy_until == 0
-        assert server.served == 0
-
     @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 10**4)),
                     min_size=1, max_size=60))
     def test_completions_monotonic_for_sorted_arrivals(self, jobs):

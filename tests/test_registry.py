@@ -3,7 +3,12 @@
 import pytest
 
 from repro import registry
-from repro.common.errors import ReproError, UnknownTargetError
+from repro.common.errors import (
+    ReproError,
+    UnknownExperimentError,
+    UnknownOverrideError,
+    UnknownTargetError,
+)
 from repro.instrument import Collection
 from repro.vans.config import VansConfig
 from repro.vans.system import VansSystem
@@ -94,3 +99,65 @@ class TestInstrumentation:
         assert merged["systems"] == 2
         assert merged["dimm.rmw_misses"] >= 1
         assert merged["slowdram.reads"] == 1
+
+
+class TestOverrideValidation:
+    def test_typo_raises_and_names_the_key(self):
+        with pytest.raises(UnknownOverrideError) as exc_info:
+            registry.build("vans", lazy_cahe=True)
+        message = str(exc_info.value)
+        assert "lazy_cahe" in message
+        assert "lazy_cache" in message          # suggestion
+        assert "vans" in message
+
+    def test_every_documented_vans_knob_is_allowed(self):
+        allowed = registry.spec("vans").allowed
+        for knob in ("ndimms", "interleaved", "media_capacity",
+                     "lazy_cache", "migrate_threshold",
+                     "wear_decay_window", "combine_window_ps",
+                     "engine_holds_partial", "ddrt_detailed",
+                     "table_cache_entries", "collect_latency_histograms",
+                     "config", "track_line_wear", "instrument"):
+            assert knob in allowed, knob
+
+    def test_baseline_override_surface(self):
+        with pytest.raises(UnknownOverrideError):
+            registry.build("pmep", frontend_ps=1)  # a slow-dram knob
+        registry.build("pmep", read_delay_ps=1000)  # valid
+
+    def test_factory_validates_overrides_eagerly(self):
+        with pytest.raises(UnknownOverrideError):
+            registry.factory("vans", lazy_cahe=True)
+
+    def test_externally_registered_specs_skip_validation(self):
+        spec = registry.TargetSpec(
+            "test-unvalidated", "no allowed set declared",
+            lambda **kw: registry.build("quartz"))
+        registry.register_target(spec)
+        try:
+            assert registry.build("test-unvalidated",
+                                  anything_goes=True) is not None
+        finally:
+            registry._SPECS.pop("test-unvalidated", None)
+
+
+class TestSuggestions:
+    def test_unknown_target_suggests_closest(self):
+        with pytest.raises(UnknownTargetError) as exc_info:
+            registry.spec("van")
+        message = str(exc_info.value)
+        assert "did you mean" in message and "'vans'" in message
+        assert "choose from:" in message
+
+    def test_unknown_experiment_suggests_closest(self):
+        from repro.experiments.exec import validate_ids
+        with pytest.raises(UnknownExperimentError) as exc_info:
+            validate_ids(["fig99"])
+        message = str(exc_info.value)
+        assert "did you mean" in message
+        assert "known experiments:" in message
+
+    def test_no_suggestion_for_hopeless_typos(self):
+        with pytest.raises(UnknownTargetError) as exc_info:
+            registry.spec("zzzzzzzzzz")
+        assert "did you mean" not in str(exc_info.value)

@@ -28,10 +28,7 @@ SAMPLE_DOC = {
     "pool": {"workers": 2, "idle": 1, "busy": 1, "alive": 2,
              "spawned": 2, "respawned": 0, "completed": 7, "errors": 0,
              "timeouts": 0, "rejects": 1,
-             "job_ms": {"count": 7, "sum": 2100, "p50": 300, "p99": 400},
-             "warm_cache": {"hits": 6, "misses": 2, "parked": 2,
-                            "dropped": 0, "ineligible": 0, "size": 2,
-                            "limit": 8}},
+             "job_ms": {"count": 7, "sum": 2100, "p50": 300, "p99": 400}},
     "jobs": {"j-1": {"tenant": "a"}, "j-2": {"tenant": "b"}},
 }
 
@@ -46,10 +43,6 @@ class TestExposition:
             'repro_serve_scheduler_jobs_total{event="rejected"}'] == 1
         assert samples[
             'repro_serve_tenant_dispatched_total{tenant="b"}'] == 5
-        assert samples[
-            'repro_serve_warm_cache_events_total{event="hits"}'] == 6
-        assert samples["repro_serve_warm_cache_hit_ratio"] == \
-            pytest.approx(0.75)
         assert samples["repro_serve_jobs_in_flight"] == 2
         # summary: quantiles in seconds, count preserved
         assert samples[
@@ -186,7 +179,7 @@ class TestDaemonEndToEnd:
         log_buffer = io.StringIO()
         log = ServeLog(level="debug", json_lines=True, stream=log_buffer)
         frames = []
-        with running_daemon(workers=1, warm_cache=4, log=log) as daemon:
+        with running_daemon(workers=1, log=log) as daemon:
             with ServeClient("127.0.0.1", daemon.port,
                              tenant="obs") as client:
                 reply = client.run_stream(
@@ -239,7 +232,7 @@ class TestDaemonEndToEnd:
         from repro.serve.client import ServeClient
         from repro.serve.server import running_daemon
 
-        with running_daemon(workers=1, warm_cache=4) as daemon:
+        with running_daemon(workers=1) as daemon:
             with ServeClient("127.0.0.1", daemon.port,
                              tenant="watcher") as observer, \
                     ServeClient("127.0.0.1", daemon.port,

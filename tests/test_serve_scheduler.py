@@ -165,7 +165,7 @@ class TestWorkerPool:
 
     @pytest.fixture()
     def pool(self):
-        pool = WorkerPool(workers=1, warm_cache=2)
+        pool = WorkerPool(workers=1)
         yield pool
         pool.shutdown()
         assert pool.processes_alive() == 0
@@ -217,7 +217,7 @@ class TestWorkerPool:
         assert status == "ok"
 
     def test_shutdown_is_idempotent_and_leaves_nothing(self):
-        pool = WorkerPool(workers=2, warm_cache=0)
+        pool = WorkerPool(workers=2)
         assert pool.processes_alive() == 2
         pool.shutdown()
         pool.shutdown()

@@ -3,16 +3,26 @@
 The acceptance bar for the serve engine: sustain at least 8 concurrent
 client sessions, schedule them fairly (every tenant's first job
 dispatched before any tenant's second), settle everything, and shut
-down without leaving a worker process behind.
+down without leaving a worker process behind — also when the daemon
+CLI is stopped by SIGTERM.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.errors import QuotaExceededError
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import running_daemon
@@ -27,7 +37,7 @@ class TestConcurrentSessions:
         """≥8 concurrent tenant sessions, round-robin dispatch, and a
         shutdown that orphans nothing."""
         ntenants = 8
-        with running_daemon(workers=1, warm_cache=4, max_active=1,
+        with running_daemon(workers=1, max_active=1,
                             max_queued=4) as daemon:
             # Hold dispatch until every tenant's two jobs are queued:
             # clients submit one after another, so a work-conserving
@@ -219,3 +229,78 @@ class TestIntrospection:
                 assert client.welcome["protocol"] == "repro.serve/1"
                 assert client.welcome["limits"]["max_active"] == 3
                 assert client.welcome["limits"]["max_queued"] == 5
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@contextlib.contextmanager
+def _daemon_cli(*args: str):
+    """``repro-serve daemon --port 0 --workers 1 *args`` as a subprocess;
+    yields ``(process, port)`` and kills whatever is left afterwards."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.tools.serve_cli", "daemon",
+         "--port", "0", "--workers", "1", "--log-level", "off", *args],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "daemon never printed its address"
+        match = re.search(r":(\d+) ", proc.stdout.readline())
+        assert match, "daemon did not report a port"
+        yield proc, int(match.group(1))
+    finally:
+        # the daemon and its workers share one process group
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def _terminate(proc, worker: int) -> None:
+    """SIGTERM the daemon; it must exit and take ``worker`` with it."""
+    proc.send_signal(signal.SIGTERM)
+    proc.wait(timeout=60)
+    deadline = time.monotonic() + 10
+    while _alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(worker), f"worker {worker} outlived the daemon"
+
+
+class TestDaemonCli:
+    def test_sigterm_shuts_the_worker_pool_down(self):
+        """``repro-serve daemon`` stopped by SIGTERM exits and takes its
+        pool worker with it, as on SIGINT; no worker is left running
+        under PID 1."""
+        with _daemon_cli() as (proc, port):
+            with ServeClient("127.0.0.1", port) as client:
+                states = client.metrics()["pool"]["worker_states"]
+            worker = states[0]["pid"]
+            assert _alive(worker)
+            _terminate(proc, worker)
+
+    def test_respawned_worker_keeps_the_default_sigterm(self):
+        """A worker forked after the daemon took over SIGTERM must still
+        die on the watchdog's SIGTERM without stopping the daemon."""
+        endless = [{"op": "read", "count": 10**8, "stride": 64}]
+        with _daemon_cli("--job-timeout", "1") as (proc, port):
+            with ServeClient("127.0.0.1", port) as client:
+                # the first timeout respawns the worker forked before the
+                # handler; the second stops the one forked after it
+                for _ in range(2):
+                    reply = client.wait(client.submit_stream(
+                        "vans", endless), raise_on_error=False)
+                    assert reply.get("timeout") is True
+                assert proc.poll() is None, "daemon stopped with the worker"
+                assert client.ping() is True
+                pool = client.stats()["pool"]
+            assert pool["respawned"] == 2
+            _terminate(proc, pool["worker_states"][0]["pid"])

@@ -124,9 +124,3 @@ class TestStatsRegistry:
         reg = StatsRegistry()
         reg.histogram("h").record(1)
         assert reg.snapshot()["h.count"] == 1
-
-    def test_reset(self):
-        reg = StatsRegistry()
-        reg.counter("a").add(5)
-        reg.reset()
-        assert reg.counter("a").value == 0

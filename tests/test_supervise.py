@@ -311,7 +311,7 @@ def test_serve_pool_respawn_leaves_no_orphan():
                                  "ignores SIGTERM", 0.1, [])
     pool = None
     try:
-        pool = WorkerPool(workers=1, warm_cache=0)
+        pool = WorkerPool(workers=1)
         pid = pool.snapshot()["worker_states"][0]["pid"]
         settled = threading.Event()
         box = []

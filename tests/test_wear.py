@@ -120,15 +120,6 @@ def test_invalid_config():
         WearConfig(migrate_threshold=0)
 
 
-def test_reset():
-    wear = make(threshold=1, track=True)
-    wear.on_write(0, 0)
-    wear.reset()
-    assert wear.migrations == 0
-    assert wear.translate(0) == 0
-    assert wear.line_wear == {}
-
-
 @settings(max_examples=40)
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=300),
        st.integers(2, 50))
