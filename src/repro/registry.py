@@ -18,9 +18,10 @@ that behind named, parameterized specs:
     per sweep point (LENS probers, latency sweeps).
 
 Every system built here gets a real :class:`~repro.instrument.InstrumentBus`
-attached (pass ``instrument=False`` to opt out) and is announced to the
-active :class:`~repro.instrument.Collection`, which is how the
-experiment runner attaches a merged observability snapshot to every
+attached (a bare constructor such as ``VansSystem()`` keeps the no-op
+``NULL_BUS``) and is announced to the active
+:class:`~repro.instrument.Collection`, which is how the experiment
+runner attaches a merged observability snapshot to every
 :class:`~repro.experiments.common.ExperimentResult` without any
 experiment threading stats plumbing by hand.
 
@@ -46,7 +47,7 @@ from repro.baselines.slow_dram import (
 from repro.common.errors import UnknownOverrideError, UnknownTargetError
 from repro.faults.injector import current as current_faults
 from repro.flight.recorder import current as current_flight
-from repro.instrument import NULL_BUS, InstrumentBus, announce
+from repro.instrument import InstrumentBus, announce
 from repro.progress import current as current_progress
 from repro.prof.profiler import current as current_prof
 from repro.reference import OptaneReference
@@ -58,15 +59,14 @@ from repro.vans.system import VansSystem
 
 
 def _allowed_params(*callables: Callable[..., Any],
-                    exclude: tuple = (),
-                    extra: tuple = ()) -> FrozenSet[str]:
+                    exclude: tuple = ()) -> FrozenSet[str]:
     """Union of named parameters across builder callables.
 
     ``**kwargs`` catch-alls are skipped (the callable they forward to is
     listed explicitly instead), so the resulting set is the exact
     spelling a caller may use — the basis for typo rejection.
     """
-    allowed = set(extra)
+    allowed = set()
     for fn in callables:
         for p in inspect.signature(fn).parameters.values():
             if p.kind in (p.VAR_KEYWORD, p.VAR_POSITIONAL):
@@ -202,10 +202,6 @@ def factory(name: str, **overrides: Any) -> Callable[[], TargetSystem]:
 # ----------------------------------------------------------------------
 
 
-def _bus(instrument: bool):
-    return InstrumentBus() if instrument else NULL_BUS
-
-
 def derive_vans_config(
     base: Optional[VansConfig] = None,
     *,
@@ -214,12 +210,8 @@ def derive_vans_config(
     media_capacity: Optional[int] = None,
     lazy_cache: Optional[bool] = None,
     migrate_threshold: Optional[int] = None,
-    wear_decay_window: Optional[int] = None,
     combine_window_ps: Optional[int] = None,
     engine_holds_partial: Optional[bool] = None,
-    ddrt_detailed: Optional[bool] = None,
-    table_cache_entries: Optional[int] = None,
-    collect_latency_histograms: Optional[bool] = None,
 ) -> VansConfig:
     """Apply flat override knobs onto a :class:`VansConfig` tree.
 
@@ -237,58 +229,30 @@ def derive_vans_config(
         cfg = cfg.with_lazy_cache(lazy_cache)
 
     dimm = cfg.dimm
-    if migrate_threshold is not None or wear_decay_window is not None:
-        wear = dimm.wear
-        if migrate_threshold is not None:
-            wear = replace(wear, migrate_threshold=migrate_threshold)
-        if wear_decay_window is not None:
-            wear = replace(wear, decay_window_writes=wear_decay_window)
-        dimm = replace(dimm, wear=wear)
+    if migrate_threshold is not None:
+        dimm = replace(dimm, wear=replace(dimm.wear,
+                                          migrate_threshold=migrate_threshold))
     if combine_window_ps is not None:
         dimm = replace(dimm, lsq=replace(dimm.lsq,
                                          combine_window_ps=combine_window_ps))
-    if engine_holds_partial is not None or ddrt_detailed is not None:
-        timing = dimm.timing
-        if engine_holds_partial is not None:
-            timing = replace(timing, engine_holds_partial=engine_holds_partial)
-        if ddrt_detailed is not None:
-            timing = replace(timing, ddrt_detailed=ddrt_detailed)
-        dimm = replace(dimm, timing=timing)
-    if table_cache_entries is not None:
-        dimm = replace(dimm, ait=replace(dimm.ait,
-                                         table_cache_entries=table_cache_entries))
+    if engine_holds_partial is not None:
+        dimm = replace(dimm, timing=replace(
+            dimm.timing, engine_holds_partial=engine_holds_partial))
     if dimm is not cfg.dimm:
         cfg = replace(cfg, dimm=dimm)
-    if collect_latency_histograms is not None:
-        cfg = replace(cfg, collect_latency_histograms=collect_latency_histograms)
     return cfg
 
 
 def _build_vans(config: Optional[VansConfig] = None,
                 track_line_wear: bool = False,
-                instrument: bool = True,
                 **config_overrides: Any) -> VansSystem:
     cfg = derive_vans_config(config, **config_overrides)
     return VansSystem(cfg, track_line_wear=track_line_wear,
-                      instrument=_bus(instrument))
+                      instrument=InstrumentBus())
 
 
-def _build_memory_mode(instrument: bool = True,
-                       **kwargs: Any) -> MemoryModeSystem:
-    return MemoryModeSystem(instrument=_bus(instrument), **kwargs)
-
-
-def _passthrough(builder: Callable[..., TargetSystem]):
-    def _build(instrument: bool = True, **kwargs: Any) -> TargetSystem:
-        # The DRAM-era baselines have no bus-wired internals; their
-        # stats registries already feed instrument_snapshot().
-        del instrument
-        return builder(**kwargs)
-    return _build
-
-
-def _build_reference(**kwargs: Any) -> OptaneReference:
-    return OptaneReference(**kwargs)
+def _build_memory_mode(**kwargs: Any) -> MemoryModeSystem:
+    return MemoryModeSystem(instrument=InstrumentBus(), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -300,13 +264,13 @@ def _build_reference(**kwargs: Any) -> OptaneReference:
 #: signatures (minus the internal ``base`` positional).
 _VANS_ALLOWED = _allowed_params(_build_vans, derive_vans_config,
                                 exclude=("base",))
-_MEMMODE_ALLOWED = _allowed_params(_build_memory_mode,
-                                   MemoryModeSystem.__init__)
-#: The DRAM-era passthroughs accept their model constructor's knobs plus
-#: the registry-level ``instrument`` opt-out.
+_MEMMODE_ALLOWED = _allowed_params(MemoryModeSystem.__init__,
+                                   exclude=("instrument",))
+#: The DRAM-era baselines accept their model constructor's knobs; they
+#: have no bus-wired internals, and their stats registries already feed
+#: instrument_snapshot().
 _SLOWDRAM_ALLOWED = _allowed_params(SlowDramSystem.__init__,
-                                    exclude=("timing", "name"),
-                                    extra=("instrument",))
+                                    exclude=("timing", "name"))
 
 register_target(TargetSpec(
     "vans", "validated Optane-DIMM model, App Direct mode (1 DIMM)",
@@ -324,22 +288,20 @@ register_target(TargetSpec(
     _build_memory_mode, category="vans", allowed=_MEMMODE_ALLOWED))
 register_target(TargetSpec(
     "pmep", "PMEP delay-injection + bandwidth-throttle emulator",
-    _passthrough(PMEPModel),
-    allowed=_allowed_params(PMEPModel.__init__, extra=("instrument",))))
+    PMEPModel, allowed=_allowed_params(PMEPModel.__init__)))
 register_target(TargetSpec(
     "quartz", "Quartz epoch-based delay-injection emulator",
-    _passthrough(QuartzModel),
-    allowed=_allowed_params(QuartzModel.__init__, extra=("instrument",))))
+    QuartzModel, allowed=_allowed_params(QuartzModel.__init__)))
 register_target(TargetSpec(
     "dramsim2-ddr3", "DRAMSim2-style DDR3-1600 simulator",
-    _passthrough(dramsim2_ddr3), allowed=_SLOWDRAM_ALLOWED))
+    dramsim2_ddr3, allowed=_SLOWDRAM_ALLOWED))
 register_target(TargetSpec(
     "ramulator-ddr4", "Ramulator-style DDR4-2666 simulator",
-    _passthrough(ramulator_ddr4), allowed=_SLOWDRAM_ALLOWED))
+    ramulator_ddr4, allowed=_SLOWDRAM_ALLOWED))
 register_target(TargetSpec(
     "ramulator-pcm", "Ramulator PCM plug-in (stretched DDR timings)",
-    _passthrough(ramulator_pcm), allowed=_SLOWDRAM_ALLOWED))
+    ramulator_pcm, allowed=_SLOWDRAM_ALLOWED))
 register_target(TargetSpec(
     "optane-ref", "digitized Optane measurements (analytic reference)",
-    _build_reference, category="reference", is_system=False,
+    OptaneReference, category="reference", is_system=False,
     allowed=_allowed_params(OptaneReference.__init__)))

@@ -170,13 +170,16 @@ class SessionScheduler:
                    callback: Callable) -> Callable:
         def done(outcome: Tuple[str, Any]) -> None:
             with self._lock:
+                self.stats["completed"] += 1
+            # the job stays active through its callback, so drain()
+            # returns only after the last callback has run
+            callback(outcome)
+            with self._lock:
                 self._active[tenant] = max(
                     0, self._active.get(tenant, 0) - 1)
-                self.stats["completed"] += 1
                 self._dispatch_locked()
                 if not self._rotation and not any(self._active.values()):
                     self._idle.set()
-            callback(outcome)
         return done
 
     # -- introspection / lifecycle --------------------------------------

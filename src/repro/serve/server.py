@@ -10,8 +10,9 @@ Threading model: the asyncio loop owns sockets and sessions; pool
 watcher threads settle jobs and re-enter the loop via
 ``call_soon_threadsafe``, so each connection's writes stay serialized
 through its outbound queue.  Shutdown drains the scheduler (in-flight
-work settles, new submits get 429) and then stops the pool — a clean
-exit leaves zero worker processes behind.
+work settles and its replies go out, new submits get 429), hangs up
+every connection and then stops the pool — a clean exit leaves zero
+worker processes behind.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro import registry
 from repro.common.errors import QuotaExceededError, _suggest
@@ -68,6 +69,8 @@ class ServeDaemon:
         #: outboxes of connections that sent ``watch`` (progress
         #: broadcast); discarded when their connection closes
         self._watchers: set = set()
+        #: open connection handler task -> its hang-up callable
+        self._connections: Dict[asyncio.Task, Callable[[], None]] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -85,24 +88,30 @@ class ServeDaemon:
                       metrics_port=getattr(self._metrics_http,
                                            "port", None))
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     async def shutdown(self, drain_timeout_s: float = 60.0) -> None:
-        """Graceful stop: no new connections, drain, stop workers."""
+        """Graceful stop: no new connections, drain, end every open
+        connection once its replies are out, stop workers."""
         self.log.info("daemon.shutdown", drain_timeout_s=drain_timeout_s)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._metrics_http is not None:
             self._metrics_http.close()
             self._metrics_http = None
         loop = asyncio.get_running_loop()
+        # the drain returns after every settled job's reply has been
+        # queued on the loop, ahead of this coroutine's resumption
         await loop.run_in_executor(
             None, lambda: self.scheduler.drain(drain_timeout_s))
+        # an idle client must not hold the shutdown open (from 3.12.1
+        # on, Server.wait_closed() also waits for open connections):
+        # every handler sees end of input and exits once its queued
+        # replies are written
+        connections = dict(self._connections)
+        for hang_up in connections.values():
+            hang_up()
+        await asyncio.gather(*connections)
+        if self._server is not None:
+            await self._server.wait_closed()
         await loop.run_in_executor(None, self.pool.shutdown)
         self.log.info("daemon.stopped")
 
@@ -127,6 +136,13 @@ class ServeDaemon:
         outbox: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
         sender = asyncio.ensure_future(self._send_loop(outbox, writer))
         session: Optional[Session] = None
+        task = asyncio.current_task()
+
+        def hang_up() -> None:
+            writer.transport.pause_reading()
+            reader.feed_eof()
+
+        self._connections[task] = hang_up
         self.metrics.inc("connections_total")
         self.log.debug("conn.open")
         try:
@@ -149,10 +165,12 @@ class ServeDaemon:
                     # implicit session for hello-less quick clients
                     session = self.sessions.open(
                         str(message.get("tenant", "anon")))
-                session = self._handle_message(message, session, outbox)
-                if session is None:    # bye
+                current = self._handle_message(message, session, outbox)
+                if current is None:    # bye: the finally closes session
                     break
+                session = current
         finally:
+            self._connections.pop(task, None)
             self._watchers.discard(outbox)
             if session is not None:
                 self.sessions.close(session)

@@ -57,10 +57,13 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
                          log=log, metrics_port=args.metrics_port)
 
     async def _serve() -> None:
-        # SIGTERM takes the SIGINT path: cancel this task, so the pool
-        # shutdown below still runs and no worker outlives the daemon.
-        asyncio.get_running_loop().add_signal_handler(
-            signal.SIGTERM, asyncio.current_task().cancel)
+        # SIGTERM, and SIGINT (asyncio.run cancels this task), both end
+        # in daemon.shutdown() while the loop still runs: in-flight jobs
+        # settle, their replies go out, and no worker outlives the
+        # daemon.
+        stop = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
+                                                      stop.set)
         try:
             await daemon.start()
             print(f"repro-serve listening on {daemon.host}:{daemon.port} "
@@ -68,14 +71,14 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
             if daemon._metrics_http is not None:
                 print(f"repro-serve metrics on http://{daemon.host}:"
                       f"{daemon._metrics_http.port}/metrics", flush=True)
-            await daemon.serve_forever()
-        except asyncio.CancelledError:
-            pass
+            await stop.wait()
+        finally:
+            await daemon.shutdown()
 
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
-        print("repro-serve: interrupted; shutting down", file=sys.stderr)
+        print("repro-serve: interrupted; shut down", file=sys.stderr)
     finally:
         daemon.pool.shutdown()
     return 0

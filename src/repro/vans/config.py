@@ -68,17 +68,13 @@ class AitConfig:
     """Address indirection table + data buffer in on-DIMM DRAM.
 
     4096 x 4KB data entries (16MB) and an 8B translation record per 4KB
-    media page.  ``table_cache_entries`` optionally caches hot
-    translation records in controller SRAM, skipping the on-DIMM DRAM
-    lookup on a hit — a design-space knob beyond the characterized
-    Optane configuration (0 = disabled, the validated default).
+    media page.  Every translation reads its record from the on-DIMM
+    DRAM.
     """
 
     entries: int = 4096
     entry_bytes: int = 4 * KIB
     table_record_bytes: int = 8
-    table_cache_entries: int = 0
-    table_cache_hit_ps: int = 4_000  # 4ns SRAM lookup
 
     @property
     def capacity_bytes(self) -> int:
@@ -92,7 +88,9 @@ class TimingConfig:
 
     * ``frontend_read_ps``/``frontend_write_ps`` — CPU-side traversal
       (core, cache miss path, iMC entry) included in what LENS measures.
-    * ``ddrt_*`` — DDR-T request/grant protocol hops between iMC and DIMM.
+    * ``ddrt_*`` — DDR-T request/grant protocol hops between iMC and
+      DIMM, fixed per hop (the calibration absorbs the average protocol
+      cost).
     * ``lsq_proc_ps`` — LSQ scheduling slot.
     * ``rmw_hit_ps``/``rmw_fill_ps`` — SRAM array access / fill.
     * ``engine_op_ps`` — the DIMM controller's per-operation processing
@@ -104,10 +102,6 @@ class TimingConfig:
     #: (removes the random-small-write bottleneck; see the ablation
     #: experiments)
     engine_holds_partial: bool = True
-    #: protocol study: model the DDR-T request/grant layer explicitly
-    #: (credit slots + command/data buses) instead of the calibrated
-    #: fixed per-hop costs.  Off in the validated configuration.
-    ddrt_detailed: bool = False
     frontend_read_ps: int = 60 * NS
     #: nt-stores retire into iMC write-combining buffers quickly; the
     #: visible store cost is WPQ admission, so issue is faster than the
@@ -154,15 +148,17 @@ class DimmConfig:
 
 @dataclass(frozen=True)
 class VansConfig:
-    """Whole NVRAM memory subsystem: iMC + interleaved DIMMs."""
+    """Whole NVRAM memory subsystem: iMC + interleaved DIMMs.
+
+    Every system records its read and write latencies into the
+    ``vans.read_latency_ps``/``vans.write_latency_ps`` histograms.
+    """
 
     ndimms: int = 1
     interleave_bytes: int = 4 * KIB
     interleaved: bool = False
     wpq: WpqConfig = field(default_factory=WpqConfig)
     dimm: DimmConfig = field(default_factory=DimmConfig)
-    #: record per-request latencies into histograms (off for big runs)
-    collect_latency_histograms: bool = True
 
     def __post_init__(self) -> None:
         if self.ndimms < 1:

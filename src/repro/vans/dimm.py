@@ -83,10 +83,6 @@ class NvramDimm:
             from repro.optim.lazycache import LazyCache
             self.lazy = LazyCache(stats=self.stats, hooks=self.hooks)
 
-        # Optional SRAM cache of hot AIT translation records (a
-        # design-space knob; disabled in the validated configuration).
-        self._table_cache: "OrderedDict[int, bool]" = OrderedDict()
-
         # RMW buffer: 256B-block tag store, LRU.  Write-through keeps
         # entries clean, so evictions are silent.
         self._rmw_tags: "OrderedDict[int, bool]" = OrderedDict()
@@ -165,27 +161,9 @@ class NvramDimm:
     # ------------------------------------------------------------------
 
     def _ait_lookup(self, addr: int, now: int) -> int:
-        """Translation-table read; returns completion.
-
-        With the (optional) translation cache enabled, hot records are
-        served from controller SRAM instead of the on-DIMM DRAM.
-        """
+        """Translation-record read from the on-DIMM DRAM; returns
+        completion."""
         h = self.hooks
-        cache_entries = self.config.ait.table_cache_entries
-        if cache_entries:
-            page = self._page_of(addr)
-            if page in self._table_cache:
-                self._table_cache.move_to_end(page)
-                self.stats.counter("dimm.table_cache_hits").add()
-                done = now + self.config.ait.table_cache_hit_ps
-                if h.on:
-                    h.flight.span("dimm.ait", now, done, phase="table",
-                                  source="sram")
-                return done
-            self.stats.counter("dimm.table_cache_misses").add()
-            self._table_cache[page] = True
-            if len(self._table_cache) > cache_entries:
-                self._table_cache.popitem(last=False)
         done = self.dram.access(self._table_addr(addr), False, now)
         if h.on:
             h.flight.span("dimm.ait", now, done, phase="table",

@@ -7,9 +7,10 @@ an nt-store's observed latency is its WPQ admission time — which is why
 LENS's store latency curve inflects exactly when a write burst exceeds
 the 512B WPQ (Figure 5a) and why ``mfence`` cost tracks WPQ drain.
 
-The iMC and DIMM communicate by a request/grant scheme (DDR-T): reads pay
-a request hop going out and a grant hop coming back; WPQ entries drain to
-the DIMM LSQ one 64B line at a time.
+The iMC and DIMM communicate by a request/grant scheme (DDR-T), modelled
+as calibrated fixed hops: reads pay a request hop going out and a grant
+hop coming back; WPQ entries drain to the DIMM LSQ one 64B line at a
+time over the serial write path.
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ class IntegratedMemoryController:
             self.wpqs[i].publish(channel, "wpq")
             self.rpqs[i].publish(channel, "rpq")
             self.write_buses[i].publish(channel, "write_bus")
-        # Optional explicit DDR-T request/grant layer (protocol studies).
-        self.ddrt = None
-        if config.dimm.timing.ddrt_detailed:
-            from repro.vans.ddrt import DdrtChannel
-            self.ddrt = [DdrtChannel(stats=self.stats, hooks=self.hooks,
-                                     channel=i)
-                         for i in range(config.ndimms)]
         self._c_reads = self.stats.counter("imc.reads")
         self._c_writes = self.stats.counter("imc.writes")
         self._c_fences = self.stats.counter("imc.fences")
@@ -81,13 +75,6 @@ class IntegratedMemoryController:
         yield ("imc.read", self, "read")
         yield ("imc.write", self, "write")
         yield ("imc.fence", self, "fence")
-        if self.ddrt is not None:
-            for channel in self.ddrt:
-                yield ("ddrt.send_read_request", channel,
-                       "send_read_request")
-                yield ("ddrt.return_read_data", channel,
-                       "return_read_data")
-                yield ("ddrt.send_write", channel, "send_write")
         for dimm in self.dimms:
             yield from dimm.profile_points()
 
@@ -102,18 +89,12 @@ class IntegratedMemoryController:
             h.faults.on_request(now)
             h.flight.span("imc.rpq", now, start, phase="wait",
                           channel=dimm_idx)
-        if self.ddrt is not None:
-            channel = self.ddrt[dimm_idx]
-            cmd_done = channel.send_read_request(start)
-            ready = self.dimms[dimm_idx].read_line(local, cmd_done)
-            done = channel.return_read_data(ready)
-        else:
-            hop = self._ddrt_request_ps
-            if h.on:
-                hop += h.faults.link_extra_ps(dimm_idx, start, hop)
-                h.flight.span("ddrt.link", start, start + hop,
-                              phase="request", channel=dimm_idx)
-            done = self.dimms[dimm_idx].read_line(local, start + hop)
+        hop = self._ddrt_request_ps
+        if h.on:
+            hop += h.faults.link_extra_ps(dimm_idx, start, hop)
+            h.flight.span("ddrt.link", start, start + hop,
+                          phase="request", channel=dimm_idx)
+        done = self.dimms[dimm_idx].read_line(local, start + hop)
         rpq.retire_at(done)
         return done
 
@@ -136,22 +117,14 @@ class IntegratedMemoryController:
             # WPQ admission is the ADR persistence point; the checker
             # audits this acknowledgement against any injected power cut.
             h.faults.note_write(addr, now, accept)
-        if self.ddrt is not None:
-            channel = self.ddrt[dimm_idx]
-            xfer_done = channel.send_write(accept)
-            lsq_admit = self.dimms[dimm_idx].write_line(local, xfer_done,
-                                                        nbytes)
-            channel.complete_write(lsq_admit)
-        else:
-            xfer_ps = self._wpq_xfer_ps
-            if h.on:
-                xfer_ps += h.faults.link_extra_ps(dimm_idx, accept, xfer_ps)
-            xfer_done = self.write_buses[dimm_idx].serve(accept, xfer_ps)
-            if h.on:
-                h.flight.span("imc.write_bus", accept, xfer_done,
-                              phase="drain", channel=dimm_idx)
-            lsq_admit = self.dimms[dimm_idx].write_line(local, xfer_done,
-                                                        nbytes)
+        xfer_ps = self._wpq_xfer_ps
+        if h.on:
+            xfer_ps += h.faults.link_extra_ps(dimm_idx, accept, xfer_ps)
+        xfer_done = self.write_buses[dimm_idx].serve(accept, xfer_ps)
+        if h.on:
+            h.flight.span("imc.write_bus", accept, xfer_done,
+                          phase="drain", channel=dimm_idx)
+        lsq_admit = self.dimms[dimm_idx].write_line(local, xfer_done, nbytes)
         wpq.retire_at(max(lsq_admit, xfer_done))
         return accept
 

@@ -38,7 +38,6 @@ class VansSystem(TargetSystem):
         self.name = f"vans-{self.config.ndimms}dimm"
         self._hist_read = self.stats.histogram("vans.read_latency_ps")
         self._hist_write = self.stats.histogram("vans.write_latency_ps")
-        self._collect = self.config.collect_latency_histograms
         # Frozen-config constants hoisted off the per-request path.
         self._frontend_read_ps = self.config.dimm.timing.frontend_read_ps
         self._frontend_write_ps = self.config.dimm.timing.frontend_write_ps
@@ -58,8 +57,7 @@ class VansSystem(TargetSystem):
             h.flight.begin("read", addr, CACHE_LINE, issue_ps=now)
             h.flight.span("cpu.frontend", now, issue, phase="read")
         done = self.imc.read(addr, issue)
-        if self._collect:
-            self._hist_read.record(done - now)
+        self._hist_read.record(done - now)
         if h.on:
             h.flight.end(done)
             h.tick(done)
@@ -72,8 +70,7 @@ class VansSystem(TargetSystem):
             h.flight.begin("write", addr, CACHE_LINE, issue_ps=now)
             h.flight.span("cpu.frontend", now, issue, phase="write")
         accept = self.imc.write(addr, issue)
-        if self._collect:
-            self._hist_write.record(accept - now)
+        self._hist_write.record(accept - now)
         if h.on:
             h.flight.end(accept)
             h.tick(accept)

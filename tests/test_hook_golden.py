@@ -56,7 +56,6 @@ TARGETS = {
     # a low threshold makes blocks wear-hot within the stream: the Lazy
     # cache absorbs and writes back, and write-backs migrate blocks
     "vans-lazy": ("vans-lazy", {"migrate_threshold": 24}),
-    "vans-ddrt": ("vans", {"ddrt_detailed": True}),
     # a small DRAM cache so dirty lines are written back to the NVRAM
     "memory-mode": ("memory-mode", {"dram_capacity": 16 * KIB}),
     "pmep": ("pmep", {}),
@@ -198,10 +197,6 @@ GOLDEN = {
         '0d5e77a7f3a7c69266076624c6c708fc40bcbace647cab697cccb4e6aae039cf'),
     'vans-lazy-plan': (
         'a8ac69d7974e7a66da4a76fd2461d664abc17ae7c23ceb8091a9741eaffbf56f'),
-    'vans-ddrt-bare': (
-        '622058db1305ef02194aefe5ac5438fd2e47b41aef1c3ea688a5c072c1cdb12b'),
-    'vans-ddrt-plan': (
-        'd2eca9104114c0b6f3711737a9db42304171c373a288068f734523a174f562f0'),
     'memory-mode-bare': (
         '4b868aab3bf3e507d35f5b68f50d459f3f988845222394560b6923c85bdffd9f'),
     'memory-mode-plan': (

@@ -21,7 +21,6 @@ VANS_CASES = [
     pytest.param("vans", {}, id="vans"),
     pytest.param("vans-6dimm", {}, id="vans-6dimm"),
     pytest.param("vans-lazy", {}, id="vans-lazy"),
-    pytest.param("vans", {"ddrt_detailed": True}, id="vans-ddrt"),
 ]
 
 
@@ -29,7 +28,6 @@ def _stations(vans):
     """Every hook-holding station of a :class:`VansSystem`."""
     imc = vans.imc
     yield imc
-    yield from imc.ddrt or ()
     for dimm in imc.dimms:
         yield dimm
         yield dimm.media

@@ -65,6 +65,12 @@ class TestVansSystem:
         req = vans.submit(Request(addr=0, op=Op.FENCE, issue_ps=100))
         assert req.complete_ps >= 100
 
+    def test_cold_read_lands_on_the_media_tier(self):
+        """A cold read misses the RMW and AIT buffers and lands in the
+        validated 300-500 ns AIT+media miss tier."""
+        done = VansSystem().read(0, 0)
+        assert 300_000 < done < 500_000
+
     def test_latency_histograms_collected(self, vans):
         vans.read(0, 0)
         vans.write(64, 10**6)

@@ -222,6 +222,15 @@ class TestIntrospection:
                 target_names = {t["name"] for t in client.targets()}
                 assert "vans" in target_names
 
+    def test_bye_closes_the_session(self):
+        """A client that leaves with ``bye`` is no longer counted."""
+        with running_daemon(workers=1) as daemon:
+            for _ in range(2):
+                with ServeClient("127.0.0.1", daemon.port) as client:
+                    assert client.ping() is True
+            with ServeClient("127.0.0.1", daemon.port) as client:
+                assert client.metrics()["sessions"] == 1
+
     def test_welcome_reports_protocol_and_limits(self):
         with running_daemon(workers=1, max_active=3,
                             max_queued=5) as daemon:
@@ -248,7 +257,7 @@ def _daemon_cli(*args: str):
         [sys.executable, "-m", "repro.tools.serve_cli", "daemon",
          "--port", "0", "--workers", "1", "--log-level", "off", *args],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
-        text=True, start_new_session=True)
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
         ready, _, _ = select.select([proc.stdout], [], [], 60)
         assert ready, "daemon never printed its address"
@@ -263,16 +272,24 @@ def _daemon_cli(*args: str):
             pass
         proc.wait(timeout=10)
         proc.stdout.close()
+        proc.stderr.close()
+
+
+def _reap(proc, worker: int) -> int:
+    """Wait for the daemon to exit; it must take ``worker`` with it.
+    Returns the daemon's exit status."""
+    status = proc.wait(timeout=60)
+    deadline = time.monotonic() + 10
+    while _alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(worker), f"worker {worker} outlived the daemon"
+    return status
 
 
 def _terminate(proc, worker: int) -> None:
     """SIGTERM the daemon; it must exit and take ``worker`` with it."""
     proc.send_signal(signal.SIGTERM)
-    proc.wait(timeout=60)
-    deadline = time.monotonic() + 10
-    while _alive(worker) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not _alive(worker), f"worker {worker} outlived the daemon"
+    _reap(proc, worker)
 
 
 class TestDaemonCli:
@@ -304,3 +321,29 @@ class TestDaemonCli:
                 pool = client.stats()["pool"]
             assert pool["respawned"] == 2
             _terminate(proc, pool["worker_states"][0]["pid"])
+
+    def test_sigterm_mid_stream_delivers_the_reply(self):
+        """SIGTERM while a stream runs: the job settles, its result
+        reaches the client, an idle client does not hold the shutdown
+        open, and the daemon exits 0 without a traceback and without
+        its worker."""
+        reads = [{"op": "read", "count": 100_000, "stride": 64}]
+        with _daemon_cli() as (proc, port), \
+                ServeClient("127.0.0.1", port):        # the idle client
+            with ServeClient("127.0.0.1", port) as client:
+                worker = client.metrics()["pool"]["worker_states"][0]["pid"]
+                signalled = []
+
+                def stop_daemon(frame):
+                    # the first frame comes from the running job
+                    if not signalled:
+                        signalled.append(frame)
+                        proc.send_signal(signal.SIGTERM)
+
+                reply = client.wait(client.submit_stream(
+                    "vans", reads, on_progress=stop_daemon))
+            assert signalled
+            assert reply["type"] == "result" and reply["status"] == "ok"
+            assert reply["stream"]["ops"] == 100_000
+            assert _reap(proc, worker) == 0
+            assert "Traceback" not in proc.stderr.read()

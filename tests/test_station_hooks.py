@@ -27,7 +27,6 @@ from repro.telemetry import session as telemetry_session
 
 TARGETS = [pytest.param(name, {}, id=name)
            for name in registry.target_names(systems_only=True)] + [
-    pytest.param("vans", {"ddrt_detailed": True}, id="vans-ddrt"),
     pytest.param("vans", {"lazy_cache": True}, id="vans-lazy-cache"),
 ]
 
