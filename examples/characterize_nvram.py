@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from repro.baselines import PMEPModel
 from repro.common.units import KIB, MIB, pretty_size
-from repro.lens import BufferProber
+from repro.lens.probers.buffer import BufferProber
 from repro.lens.report import characterize
 from repro.media.wear import WearConfig
 from repro.vans import VansConfig, VansSystem

@@ -6,8 +6,8 @@ Public API tour:
 * ``VansSystem`` / ``VansConfig`` — the validated Optane-DIMM simulator
   (App Direct mode); ``MemoryModeSystem`` for Memory mode.
 * ``repro.lens`` — the LENS probers and microbenchmarks; run
-  ``lens.characterize(lambda: VansSystem())`` to reverse engineer a
-  memory system from its performance patterns.
+  ``repro.lens.report.characterize(lambda: VansSystem())`` to reverse
+  engineer a memory system from its performance patterns.
 * ``repro.cpu.FullSystem`` — the trace-driven full-system harness
   (core + caches + TLBs over any memory backend).
 * ``repro.baselines`` — PMEP / Quartz / DRAMSim2 / Ramulator-style

@@ -6,6 +6,12 @@ instrumentation collection, flight/telemetry/fault session plumbing,
 and :func:`_worker`, the job the runner's crash-tolerant scheduler
 runs in supervised child processes (:mod:`repro.common.supervise`).
 
+The registry names each experiment's module
+(``repro.experiments.<module>``) and imports it on the first run of
+that id, so a process imports only the experiments it runs: ``--list``,
+``--filter``, id validation and longest-first scheduling read only the
+spec metadata.
+
 Two front ends drive it:
 
 * :mod:`repro.experiments.runner` — the batch CLI (campaign fan-out,
@@ -24,15 +30,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from importlib import import_module
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from repro import registry
 from repro.common.errors import UnknownExperimentError, _suggest
-from repro.experiments import ablation, bandwidth_matrix, characterize
-from repro.experiments import energy_study, fig01, fig03, fig05, fig06
-from repro.experiments import fig07, fig09, fig10, fig11, fig12, fig13
-from repro.experiments import numa_study, scaling, tables
 from repro.experiments.common import ExperimentResult, Scale
 from repro.faults.injector import NULL_FAULTS, FaultInjector
 from repro.faults.injector import session as faults_session
@@ -73,6 +76,16 @@ class ExperimentSpec:
     targets: Tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class _Entry:
+    """``run`` of ``repro.experiments.<module>``, imported on first call."""
+
+    module: str
+
+    def __call__(self, scale: Scale) -> object:
+        return import_module(f"repro.experiments.{self.module}").run(scale)
+
+
 def _spec(id, run, section, description, est_cost, targets):
     return ExperimentSpec(id, run, section, description, est_cost,
                           tuple(targets))
@@ -80,57 +93,57 @@ def _spec(id, run, section, description, est_cost, targets):
 
 #: experiment id -> spec (insertion order is the canonical run order)
 REGISTRY: Dict[str, ExperimentSpec] = {s.id: s for s in [
-    _spec("fig1", fig01.run, "II",
+    _spec("fig1", _Entry("fig01"), "II",
           "pointer-chase latency tiers vs. prior simulators", 1.5,
           ["vans", "pmep", "optane-ref"]),
-    _spec("fig3", fig03.run, "III",
+    _spec("fig3", _Entry("fig03"), "III",
           "existing emulators/simulators miss the buffer tiers", 2.0,
           ["vans", "optane-ref", "dramsim2-ddr3", "ramulator-ddr4",
            "ramulator-pcm"]),
-    _spec("fig5", fig05.run, "IV-B",
+    _spec("fig5", _Entry("fig05"), "IV-B",
           "LENS buffer prober: read/write capacity inflections", 2.0,
           ["vans"]),
-    _spec("fig6", fig06.run, "IV-B",
+    _spec("fig6", _Entry("fig06"), "IV-B",
           "LENS entry-size and flush-granularity probes", 2.0,
           ["vans"]),
-    _spec("fig7", fig07.run, "IV-C",
+    _spec("fig7", _Entry("fig07"), "IV-C",
           "LENS policy prober: overwrite tails, wear leveling", 5.0,
           ["vans", "vans-6dimm"]),
-    _spec("fig8", characterize.run, "IV",
+    _spec("fig8", _Entry("characterize"), "IV",
           "full LENS characterization of the simulated DIMM", 14.0,
           ["vans", "vans-6dimm"]),
-    _spec("fig9", fig09.run, "V-B",
+    _spec("fig9", _Entry("fig09"), "V-B",
           "VANS validation: latency curves vs. Optane reference", 4.0,
           ["vans", "optane-ref"]),
-    _spec("fig10", fig10.run, "V-B",
+    _spec("fig10", _Entry("fig10"), "V-B",
           "capacity/DIMM-count scaling validation", 6.0,
           ["vans"]),
-    _spec("fig11", fig11.run, "V-B",
+    _spec("fig11", _Entry("fig11"), "V-B",
           "SPEC IPC, LLC-miss and speedup validation", 11.0,
           ["vans-6dimm", "ramulator-ddr4", "ramulator-pcm"]),
-    _spec("fig12", fig12.run, "V-C",
+    _spec("fig12", _Entry("fig12"), "V-C",
           "wear-leveling case study (YCSB-like hot lines)", 6.0,
           ["vans"]),
-    _spec("fig13", fig13.run, "V-C",
+    _spec("fig13", _Entry("fig13"), "V-C",
           "Lazy cache and Pre-translation speedups", 51.0,
           ["vans"]),
-    _spec("tables", tables.run, "tables",
+    _spec("tables", _Entry("tables"), "tables",
           "Tables I, II, IV and V: tools, probers, SPEC MPKI, config",
           3.0, ["ramulator-ddr4"]),
     # beyond the paper's figures: supporting studies
-    _spec("scaling", scaling.run, "extra",
+    _spec("scaling", _Entry("scaling"), "extra",
           "throughput scaling with thread count", 3.0,
           ["vans", "ramulator-ddr4"]),
-    _spec("ablation", ablation.run, "extra",
+    _spec("ablation", _Entry("ablation"), "extra",
           "microarchitectural ablations (combine window, engine hold)", 5.0,
           ["vans"]),
-    _spec("energy", energy_study.run, "extra",
+    _spec("energy", _Entry("energy_study"), "extra",
           "energy model over the access mix", 3.0,
           ["vans"]),
-    _spec("numa", numa_study.run, "extra",
+    _spec("numa", _Entry("numa_study"), "extra",
           "near/far socket latency study", 3.0,
           ["vans", "ramulator-ddr4"]),
-    _spec("bandwidth", bandwidth_matrix.run, "extra",
+    _spec("bandwidth", _Entry("bandwidth_matrix"), "extra",
           "bandwidth matrix across patterns and targets", 4.0,
           ["vans", "ramulator-ddr4"]),
 ]}

@@ -33,7 +33,6 @@ from dataclasses import replace as dc_replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import UnknownExperimentError
-from repro.common.supervise import BACKOFF_S, run_jobs
 # Re-exported execution core: tests and tools import these names from
 # here, and some monkeypatch this module's attributes (REGISTRY is
 # mutated in place, so it must stay the *same* dict object as exec's).
@@ -102,7 +101,7 @@ def _run_parallel(ids: List[str], scale: Scale, seed: int, workers: int,
                   faults_spec: Optional[Mapping[str, object]] = None,
                   timeout_s: Optional[float] = None,
                   retries: int = 0,
-                  backoff_s: float = BACKOFF_S,
+                  backoff_s: Optional[float] = None,
                   ) -> Dict[str, Tuple[List[ExperimentResult], float,
                                        List[FlightRecord]]]:
     """Crash-tolerant process fan-out; longest-first for packing.
@@ -114,7 +113,9 @@ def _run_parallel(ids: List[str], scale: Scale, seed: int, workers: int,
       attempt recorded as a timeout;
     * ``retries`` — failed/timed-out attempts are re-executed with the
       identical job tuple (seed preserved) after exponential backoff
-      (``backoff_s * 2**(attempt-1)``), up to ``retries`` extra times;
+      (``backoff_s * 2**(attempt-1)``, ``backoff_s`` defaulting to
+      :data:`~repro.common.supervise.BACKOFF_S`), up to ``retries``
+      extra times;
     * quarantine — an experiment that exhausts its retries is recorded
       as ``status="quarantined"`` (``"failed"``/``"timeout"`` when no
       retries were requested) with the last remote traceback attached,
@@ -125,7 +126,13 @@ def _run_parallel(ids: List[str], scale: Scale, seed: int, workers: int,
     weighted by the remaining experiments' ``est_cost`` — so long
     parallel runs stay observable (worker processes can't share the
     parent's progress stream).
+
+    The supervisor (and with it :mod:`multiprocessing`) is imported
+    here, on the only path that forks, so a serial run never loads it.
     """
+    from repro.common.supervise import BACKOFF_S, run_jobs
+    if backoff_s is None:
+        backoff_s = BACKOFF_S
     order = sorted(ids, key=lambda i: -REGISTRY[i].est_cost)
     total_cost = sum(REGISTRY[i].est_cost for i in order) or 1.0
     by_id: Dict[str, Tuple[List[ExperimentResult], float,

@@ -1,7 +1,1 @@
 """LENS microbenchmarks: pointer chasing, overwrite, stride."""
-
-from repro.lens.microbench.pointer_chasing import PointerChasing
-from repro.lens.microbench.overwrite import Overwrite
-from repro.lens.microbench.stride import Stride
-
-__all__ = ["PointerChasing", "Overwrite", "Stride"]

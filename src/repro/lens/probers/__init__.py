@@ -1,17 +1,1 @@
 """LENS probers: buffer, policy, performance, and address mapping."""
-
-from repro.lens.probers.buffer import BufferProber, BufferReport
-from repro.lens.probers.policy import PolicyProber, PolicyReport
-from repro.lens.probers.performance import PerformanceProber, PerformanceReport
-from repro.lens.probers.mapping import MappingProber, MappingReport
-
-__all__ = [
-    "BufferProber",
-    "BufferReport",
-    "PolicyProber",
-    "PolicyReport",
-    "PerformanceProber",
-    "PerformanceReport",
-    "MappingProber",
-    "MappingReport",
-]

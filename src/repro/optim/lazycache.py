@@ -128,6 +128,13 @@ class LazyCache:
         self._lz2.clear()
         return dirty
 
+    def invalidate(self) -> None:
+        """Drop every WLB, LZ1 and LZ2 entry: the SRAM holds nothing
+        after a power cut or cold restart (counters keep their totals)."""
+        self._wlb.clear()
+        self._lz1.clear()
+        self._lz2.clear()
+
     @property
     def absorbed(self) -> int:
         return self._c_absorbed.value

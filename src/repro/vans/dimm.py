@@ -495,12 +495,15 @@ class NvramDimm:
             block += cfg.rmw.entry_bytes
 
     def invalidate_buffers(self) -> None:
-        """Drop all cached tag state (cold restart between experiments)."""
+        """Drop all cached tag state, Lazy-cache entries included (cold
+        restart between experiments, or a power cut)."""
         self._rmw_tags.clear()
         self._ait_tags.clear()
         self._ait_free = list(range(self.config.ait.entries - 1, -1, -1))
         self._wc_block = None
         self._wc_lines = set()
+        if self.lazy is not None:
+            self.lazy.invalidate()
 
     @property
     def rmw_read_amplification(self) -> float:

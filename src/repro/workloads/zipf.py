@@ -1,14 +1,19 @@
 """Zipfian sampling (the YCSB request distribution).
 
 Precomputes the CDF with numpy so drawing a key is one binary search —
-fast enough to generate hundreds of thousands of trace records.
+fast enough to generate hundreds of thousands of trace records.  numpy
+is imported by the first sampler built, so only the runs that draw
+Zipfian keys (YCSB in fig12 and fig13) load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ZipfSampler:
@@ -24,6 +29,8 @@ class ZipfSampler:
             raise ConfigError("n must be positive")
         if theta < 0:
             raise ConfigError("theta must be non-negative")
+        import numpy as np
+
         self.n = n
         self.theta = theta
         weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** theta
@@ -34,12 +41,12 @@ class ZipfSampler:
     def sample(self) -> int:
         """One key (0 = hottest)."""
         u = self._rng.random()
-        return int(np.searchsorted(self._cdf, u))
+        return int(self._cdf.searchsorted(u))
 
     def sample_many(self, count: int) -> np.ndarray:
         """Vector of ``count`` keys."""
         u = self._rng.random(count)
-        return np.searchsorted(self._cdf, u)
+        return self._cdf.searchsorted(u)
 
     def probability(self, rank: int) -> float:
         """Probability mass of the key with the given rank (0-based)."""

@@ -155,3 +155,26 @@ class TestLazyCacheInDimm:
         t0 = now + 10**6
         hit = system.read(0, t0) - t0
         assert hit < 200_000  # served on-DIMM, no media
+
+    def test_reset_state_drops_lazy_entries(self):
+        """The Lazy SRAM holds nothing after a power cut or cold restart,
+        so a block it absorbed is read from the media tier again."""
+        from repro import registry
+
+        def hammered():
+            system = registry.build("vans-lazy", migrate_threshold=16)
+            now = 0
+            for i in range(400):
+                now = system.write((i % 4) * 256, now)
+                now = system.fence(now)
+            return system, now
+
+        kept, now = hammered()
+        assert kept.read(0, now) - now == 140_000  # Lazy hit
+        system, now = hammered()
+        lazy = system.dimm.lazy
+        assert all(lazy.contains(b * 256) for b in range(4))
+        system.reset_state()
+        assert not any(lazy.contains(b * 256) or lazy.is_hot(b * 256)
+                       for b in range(4))
+        assert system.read(0, now) - now == 376_500
