@@ -57,7 +57,16 @@ class PMEPModel(TargetSystem):
         """Cached store write-back: PMEP only injects delay on demand
         loads, so store streams run at (throttled) DRAM speed — which is
         why PMEP ranks cached stores *above* nt-stores (Fig. 1a)."""
-        start = self._throttle.serve(now, self._throttle_ps)
+        # the throttle's FCFS slot, served in line
+        throttle = self._throttle
+        service = self._throttle_ps
+        start = throttle.busy_until
+        if now > start:
+            start = now
+        start += service
+        throttle.busy_until = start
+        throttle.total_busy += service
+        throttle.served += 1
         done = self.dram.access(addr, True, start) + self.write_delay_ps
         h = self.hooks
         if h.on:
@@ -69,9 +78,17 @@ class PMEPModel(TargetSystem):
         """Non-temporal store: the uncached path is serialized and slow
         on the emulation platform (it occupies the throttled channel for
         the whole uncached transaction)."""
-        start = self._throttle.serve(now, self.nt_write_ps)
+        throttle = self._throttle
+        service = self.nt_write_ps
+        start = throttle.busy_until
+        if now > start:
+            start = now
+        start += service
+        throttle.busy_until = start
+        throttle.total_busy += service
+        throttle.served += 1
         self.dram.access(addr, True, start)
-        done = start + self.nt_write_ps
+        done = start + service
         h = self.hooks
         if h.on:
             h.faults.on_request(now)

@@ -38,7 +38,7 @@ class DramController:
     Per access it decodes the address with two shifts and a mask, enters
     :meth:`_do_refresh` only once a refresh is due, bumps counters in
     place and builds :class:`Command` objects only when
-    ``record_commands`` is set.
+    ``record_commands`` is set; :meth:`_do_refresh` follows the same rules.
     """
 
     def __init__(
@@ -83,6 +83,8 @@ class DramController:
         self._twr_ps = t.ps(t.twr)
         self._twtr_ps = t.ps(t.twtr)
         self._trtp_ps = t.ps(t.trtp)
+        self._trfc_ps = t.ps(t.trfc)
+        self._trefi_ps = t.ps(t.trefi)
         self._rd_data_ps = t.ps(t.cl) + t.ps(t.burst_cycles)   # RD -> data end
         self._wr_data_ps = t.ps(t.cwl) + t.ps(t.burst_cycles)  # WR -> data end
         self._bank_shift = self.mapping.bank_shift
@@ -92,34 +94,42 @@ class DramController:
 
     # -- helpers -------------------------------------------------------
 
-    def _emit(self, time_ps: int, kind: CmdType, bank: int, row: int = -1,
-              col: int = -1) -> None:
-        if self.record_commands:
-            self.commands.append(Command(time_ps, kind, bank, row, col))
-
     def _do_refresh(self, now: int) -> None:
         """Issue any overdue all-bank refreshes before servicing ``now``."""
-        t = self.timing
+        record = self.record_commands
+        banks = self._banks
         while self._next_refresh_due <= now:
-            start = max(self._next_refresh_due, self._blocked_until_ps)
+            start = self._next_refresh_due
+            if self._blocked_until_ps > start:
+                start = self._blocked_until_ps
             if self._closed:
                 # each access's closing PRE may still be pending; tRC =
                 # tRAS + tRP makes its PRE + tRP the bank's next ACT
-                start = max(start, max(b.act_ready_ps for b in self._banks))
+                for bank in banks:
+                    if bank.act_ready_ps > start:
+                        start = bank.act_ready_ps
             # All banks must be precharged before REF.
-            for bank_id, bank in enumerate(self._banks):
+            for bank_id, bank in enumerate(banks):
                 if bank.open_row is not None:
-                    pre_time = max(start, bank.pre_ready_ps)
-                    self._emit(pre_time, CmdType.PRE, bank_id)
+                    pre_time = bank.pre_ready_ps
+                    if start > pre_time:
+                        pre_time = start
+                    if record:
+                        self.commands.append(
+                            Command(pre_time, CmdType.PRE, bank_id))
                     bank.open_row = None
-                    start = max(start, pre_time + t.ps(t.trp))
-            self._emit(start, CmdType.REF, -1)
-            self._refreshes.add()
-            end = start + t.ps(t.trfc)
+                    ready = pre_time + self._trp_ps
+                    if ready > start:
+                        start = ready
+            if record:
+                self.commands.append(Command(start, CmdType.REF, -1))
+            self._refreshes.value += 1
+            end = start + self._trfc_ps
             self._blocked_until_ps = end
-            for bank in self._banks:
-                bank.act_ready_ps = max(bank.act_ready_ps, end)
-            self._next_refresh_due += t.ps(t.trefi)
+            for bank in banks:
+                if end > bank.act_ready_ps:
+                    bank.act_ready_ps = end
+            self._next_refresh_due += self._trefi_ps
 
     # -- public API ----------------------------------------------------
 

@@ -23,7 +23,10 @@ class DramDevice:
 
     ``nchannels`` is a power of two, so line ``addr >> 6`` goes to channel
     ``(addr >> 6) & (nchannels - 1)``, which sees the line bits above the
-    channel bits as its local line number.
+    channel bits as its local line number.  The channel mask, the local
+    shift and each channel's bound ``access`` are fixed at construction;
+    :meth:`access_block` dispatches every line itself, with no
+    :meth:`access` call per line.
     """
 
     def __init__(
@@ -51,15 +54,15 @@ class DramDevice:
             )
             for _ in range(nchannels)
         ]
+        self._ports = [channel.access for channel in self.channels]
         self._channel_mask = nchannels - 1
         self._local_shift = 6 + nchannels.bit_length() - 1
 
     def access(self, addr: int, is_write: bool, now: int) -> int:
         """One 64B access; returns the completion time in picoseconds."""
         addr %= self.capacity_bytes
-        channel = self.channels[(addr >> 6) & self._channel_mask]
-        local = ((addr >> self._local_shift) << 6) | (addr & 63)
-        return channel.access(local, is_write, now)
+        return self._ports[(addr >> 6) & self._channel_mask](
+            ((addr >> self._local_shift) << 6) | (addr & 63), is_write, now)
 
     def access_block(self, addr: int, nbytes: int, is_write: bool, now: int) -> int:
         """Access ``nbytes`` starting at ``addr`` line by line.
@@ -69,9 +72,18 @@ class DramDevice:
         fill) get realistic pipelined throughput, not nbytes/64 serial
         latencies.
         """
+        capacity = self.capacity_bytes
+        ports = self._ports
+        mask = self._channel_mask
+        shift = self._local_shift
         completion = now
-        for offset in range(0, max(nbytes, CACHE_LINE), CACHE_LINE):
-            completion = max(completion, self.access(addr + offset, is_write, now))
+        for line in range(addr, addr + (nbytes if nbytes > CACHE_LINE
+                                        else CACHE_LINE), CACHE_LINE):
+            line %= capacity
+            done = ports[(line >> 6) & mask](
+                ((line >> shift) << 6) | (line & 63), is_write, now)
+            if done > completion:
+                completion = done
         return completion
 
     def all_commands(self):

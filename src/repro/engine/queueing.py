@@ -132,14 +132,17 @@ class FcfsStation:
         """Admit an entry arriving at ``arrival``; returns admission time.
 
         The caller must later call :meth:`retire_at` with the entry's
-        completion (drain) time.
+        completion (drain) time.  Entries drained by ``arrival`` expire
+        first.
         """
-        self._expire(arrival)
-        if len(self._completions) < self.capacity:
+        completions = self._completions
+        while completions and completions[0] <= arrival:
+            completions.popleft()
+        if len(completions) < self.capacity:
             admit_time = arrival
         else:
             # Block until the oldest resident entry drains (FCFS retire order).
-            admit_time = self._completions.popleft()
+            admit_time = completions.popleft()
         self.admitted += 1
         self.total_wait += admit_time - arrival
         return admit_time
@@ -150,12 +153,13 @@ class FcfsStation:
         Completion times must be non-decreasing across entries (guaranteed
         by FCFS drains); a violation indicates a modeling bug.
         """
-        if self._completions and completion < self._completions[-1]:
+        completions = self._completions
+        if completions and completion < completions[-1]:
             # Clamp rather than reorder: FCFS drains retire in order.
-            completion = self._completions[-1]
-        self._completions.append(completion)
-        if len(self._completions) > self.peak_occupancy:
-            self.peak_occupancy = len(self._completions)
+            completion = completions[-1]
+        completions.append(completion)
+        if len(completions) > self.peak_occupancy:
+            self.peak_occupancy = len(completions)
 
     def drain_time(self, now: int) -> int:
         """Time at which the buffer becomes empty (``now`` if already empty)."""

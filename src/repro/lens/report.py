@@ -11,14 +11,18 @@ the paper validated against vendor confirmation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.common.units import pretty_size
-from repro.lens.probers.buffer import BufferProber, BufferReport
-from repro.lens.probers.mapping import MappingProber, MappingReport
-from repro.lens.probers.performance import PerformanceProber, PerformanceReport
-from repro.lens.probers.policy import PolicyProber, PolicyReport
 from repro.target import TargetSystem
+
+if TYPE_CHECKING:
+    # annotations only: the probers load with the first characterize(),
+    # so a caller that reads TABLE_I/TABLE_II loads none of them
+    from repro.lens.probers.buffer import BufferReport
+    from repro.lens.probers.mapping import MappingReport
+    from repro.lens.probers.performance import PerformanceReport
+    from repro.lens.probers.policy import PolicyReport
 
 #: Table I — profiling-tool capability matrix (static, from the paper).
 TABLE_I = {
@@ -171,6 +175,11 @@ def characterize(
     frequency drop to be observable (the default suits the real
     ~14,000-write threshold).
     """
+    from repro.lens.probers.buffer import BufferProber
+    from repro.lens.probers.mapping import MappingProber
+    from repro.lens.probers.performance import PerformanceProber
+    from repro.lens.probers.policy import PolicyProber
+
     name = target_factory().name
     buffer_report = BufferProber(target_factory).run()
 

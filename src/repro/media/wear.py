@@ -50,7 +50,13 @@ class WearConfig:
 
 
 class WearLeveler:
-    """Tracks block wear, remaps blocks, and injects migration stalls."""
+    """Tracks block wear, remaps blocks, and injects migration stalls.
+
+    The block size, migration threshold and decay window are fixed at
+    construction; :meth:`translate`, :meth:`on_read` and
+    :meth:`on_write` divide by the block size in line and bump counters
+    in place.
+    """
 
     def __init__(
         self,
@@ -78,18 +84,19 @@ class WearLeveler:
         self._migrations = self.stats.counter("wear.migrations")
         self._stall_ps = self.stats.counter("wear.stall_ps")
         self._writes = self.stats.counter("wear.media_writes")
+        self._block_bytes = config.block_bytes
+        self._threshold = config.migrate_threshold
+        self._decay_window = config.decay_window_writes
 
     def _block_of(self, addr: int) -> int:
-        return addr // self.config.block_bytes
+        return addr // self._block_bytes
 
     def translate(self, addr: int) -> int:
         """Logical media address -> physical media address after remap."""
-        block = self._block_of(addr)
-        generation = self._remap.get(block, 0)
-        physical = (block + generation) % self.nblocks
-        return physical * self.config.block_bytes + (
-            addr % self.config.block_bytes
-        )
+        block_bytes = self._block_bytes
+        block = addr // block_bytes
+        physical = (block + self._remap.get(block, 0)) % self.nblocks
+        return physical * block_bytes + addr % block_bytes
 
     def block_write_count(self, addr: int) -> int:
         """Writes accumulated toward migration for the block of ``addr``."""
@@ -103,11 +110,11 @@ class WearLeveler:
         or that this write pushed over the wear threshold), and whether
         this write triggered a migration.
         """
-        cfg = self.config
-        block = self._block_of(addr)
-        self._writes.add()
-        if (cfg.decay_window_writes
-                and self._writes.value % cfg.decay_window_writes == 0):
+        block = addr // self._block_bytes
+        writes = self._writes
+        writes.value += 1
+        decay = self._decay_window
+        if decay and writes.value % decay == 0:
             # Optional hot-block counter aging.
             self._write_counts = {
                 b: c // 2 for b, c in self._write_counts.items() if c > 1
@@ -121,11 +128,13 @@ class WearLeveler:
         if blocked > ready:
             ready = blocked
 
-        count = self._write_counts.get(block, 0) + 1
-        if count >= cfg.migrate_threshold:
+        counts = self._write_counts
+        count = counts.get(block, 0) + 1
+        if count >= self._threshold:
             # Migrate: copy the 64KB block to a spare location.  In-flight
             # and subsequent writes to this block stall until the copy ends.
-            self._write_counts[block] = 0
+            cfg = self.config
+            counts[block] = 0
             if self.nblocks > 1:
                 self._remap[block] = self._remap.get(block, 0) + 1
             migration_ps = cfg.migration_ps
@@ -136,16 +145,16 @@ class WearLeveler:
                     ready, cfg.migration_ps)
             end = ready + migration_ps
             self._blocked_until[block] = end
-            self._migrations.add()
+            self._migrations.value += 1
             self.migration_counts[block] = self.migration_counts.get(block, 0) + 1
-            self._stall_ps.add(end - now)
+            self._stall_ps.value += end - now
             if h.on and h.flight.active:
                 h.flight.span("media.wear", now, end, phase="migrate",
                               block=f"0x{block * cfg.block_bytes:x}")
             return end, True
-        self._write_counts[block] = count
+        counts[block] = count
         if ready > now:
-            self._stall_ps.add(ready - now)
+            self._stall_ps.value += ready - now
             h = self.hooks
             if h.on:
                 h.flight.span("media.wear", now, ready, phase="stall")
@@ -153,7 +162,7 @@ class WearLeveler:
 
     def on_read(self, addr: int, now: int) -> int:
         """Reads also stall while their block is mid-migration."""
-        blocked = self._blocked_until.get(self._block_of(addr), 0)
+        blocked = self._blocked_until.get(addr // self._block_bytes, 0)
         if blocked > now:
             h = self.hooks
             if h.on:

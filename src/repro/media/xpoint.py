@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.common.units import GIB, NS, align_down, is_power_of_two
-from repro.engine.queueing import BankedServer
+from repro.common.units import GIB, NS, is_power_of_two
+from repro.engine.queueing import BankedServer, Server
 from repro.engine.stats import StatsRegistry
 from repro.hooks import Hooks
 
@@ -42,7 +42,13 @@ class XPointConfig:
 
 
 class XPointMedia:
-    """Banked 3D-XPoint media with 256B access units."""
+    """Banked 3D-XPoint media with 256B access units.
+
+    Geometry and array timings are fixed at construction.  The access
+    methods bump counters in place and pick a partition's FCFS
+    :class:`Server` directly; :meth:`access_block` serves the partitions
+    of all its units in line.
+    """
 
     def __init__(self, config: XPointConfig, stats: StatsRegistry = None,
                  hooks: Optional[Hooks] = None) -> None:
@@ -54,46 +60,101 @@ class XPointMedia:
         self._writes = self.stats.counter("media.writes")
         self._bytes_read = self.stats.counter("media.bytes_read")
         self._bytes_written = self.stats.counter("media.bytes_written")
+        self._capacity = config.capacity_bytes
+        self._gran = config.granularity
+        self._npartitions = config.npartitions
+        self._partitions = self.banks.banks
+        self._read_ps = config.read_ps
+        self._write_ps = config.write_ps
 
     def access(self, media_addr: int, is_write: bool, now: int) -> int:
         """One aligned 256B media access; returns completion time."""
-        cfg = self.config
-        gran = cfg.granularity
-        unit = (media_addr % cfg.capacity_bytes) // gran
-        media_addr = unit * gran
+        gran = self._gran
+        unit = (media_addr % self._capacity) // gran
         if is_write:
-            self._writes.add()
-            self._bytes_written.add(gran)
-            service = cfg.write_ps
+            self._writes.value += 1
+            self._bytes_written.value += gran
+            service = self._write_ps
         else:
-            self._reads.add()
-            self._bytes_read.add(gran)
-            service = cfg.read_ps
+            self._reads.value += 1
+            self._bytes_read.value += gran
+            service = self._read_ps
         h = self.hooks
         if h.on:
             # latency-spike episodes and UE retry/ECC cost on reads in an
             # uncorrectable region
-            service += h.faults.media_extra_ps(media_addr, is_write, now,
+            service += h.faults.media_extra_ps(unit * gran, is_write, now,
                                                service)
-        partition = unit % cfg.npartitions
-        done = self.banks.serve(partition, now, service)
+        partition = unit % self._npartitions
+        done = self._partitions[partition].serve(now, service)
         if h.on:
             h.flight.span("media", now, done,
                           phase="write" if is_write else "read",
                           partition=partition)
         return done
 
-    def access_block(self, media_addr: int, nbytes: int, is_write: bool, now: int) -> int:
-        """Access ``nbytes`` (e.g. a 4KB AIT entry fill) as parallel 256B
-        units across partitions; returns the last completion time."""
-        cfg = self.config
-        completion = now
-        end = media_addr + max(nbytes, cfg.granularity)
-        addr = align_down(media_addr, cfg.granularity)
-        while addr < end:
-            completion = max(completion, self.access(addr, is_write, now))
-            addr += cfg.granularity
-        return completion
+    def access_block(self, media_addr: int, nbytes: int, is_write: bool,
+                     now: int, skip: int = -1, port: Optional[Server] = None,
+                     port_ps: int = 0) -> int:
+        """Access ``nbytes`` (e.g. a 4KB AIT entry fill) as 256B units,
+        in address order, all issued at ``now`` across the partitions.
+
+        Each unit is the :meth:`access` of its address; the unit at
+        address ``skip`` is left out (an AIT fill has read its critical
+        unit already).  Without a ``port`` this returns the last unit's
+        completion (``now`` if none is later).  With one, every unit
+        then crosses that FCFS server for ``port_ps``, in address order,
+        and this returns the last crossing.
+        """
+        gran = self._gran
+        capacity = self._capacity
+        npartitions = self._npartitions
+        partitions = self._partitions
+        service = self._write_ps if is_write else self._read_ps
+        h = self.hooks
+        on = h.on
+        # the port's FCFS arithmetic, kept in locals; without a port a
+        # zero-length crossing leaves the running maximum
+        busy = now if port is None else port.busy_until
+        served = 0
+        for addr in range(media_addr - media_addr % gran,
+                          media_addr + (nbytes if nbytes > gran else gran),
+                          gran):
+            if addr == skip:
+                continue
+            unit = (addr % capacity) // gran
+            cost = service
+            if on:
+                cost += h.faults.media_extra_ps(unit * gran, is_write, now,
+                                                cost)
+            partition = unit % npartitions
+            bank = partitions[partition]
+            done = bank.busy_until
+            if now > done:
+                done = now
+            done += cost
+            bank.busy_until = done
+            bank.total_busy += cost
+            bank.served += 1
+            if on:
+                h.flight.span("media", now, done,
+                              phase="write" if is_write else "read",
+                              partition=partition)
+            if done > busy:
+                busy = done
+            busy += port_ps
+            served += 1
+        if is_write:
+            self._writes.value += served
+            self._bytes_written.value += served * gran
+        else:
+            self._reads.value += served
+            self._bytes_read.value += served * gran
+        if port is not None:
+            port.busy_until = busy
+            port.total_busy += served * port_ps
+            port.served += served
+        return busy
 
     def publish(self, bus, prefix: str) -> None:
         """Register pull-gauges for the partition servers (aggregate

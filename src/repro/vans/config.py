@@ -144,6 +144,21 @@ class DimmConfig:
         if self.rmw.entry_bytes % self.lsq.combine_bytes:
             raise ConfigError("RMW entry size must be a multiple of the "
                               "LSQ combine granularity")
+        # An AIT miss remaps its entry with one wear-block lookup and
+        # fills it unit by unit, so an entry must lie inside one wear
+        # block, be whole media units, and hold whole RMW blocks.
+        if self.wear.block_bytes % self.ait.entry_bytes:
+            raise ConfigError(
+                f"AIT entry ({self.ait.entry_bytes}B) must fit evenly inside "
+                f"one wear block ({self.wear.block_bytes}B)")
+        if self.ait.entry_bytes % self.media.granularity:
+            raise ConfigError(
+                f"AIT entry ({self.ait.entry_bytes}B) must be a whole number "
+                f"of media units ({self.media.granularity}B)")
+        if self.ait.entry_bytes % self.rmw.entry_bytes:
+            raise ConfigError(
+                f"AIT entry ({self.ait.entry_bytes}B) must be a whole number "
+                f"of RMW entries ({self.rmw.entry_bytes}B)")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,28 @@ class NvramDimm:
 
         self._last_dir_write: Optional[bool] = None  # bus turnaround state
 
+        # Frozen geometry and timings, fixed at construction so the
+        # request path reads no ``self.config`` chain.
+        self._rmw_bytes = config.rmw.entry_bytes
+        self._rmw_entries = config.rmw.entries
+        self._ait_bytes = config.ait.entry_bytes
+        self._record_bytes = config.ait.table_record_bytes
+        self._table_span = max(self._table_bytes, CACHE_LINE)
+        self._gran = config.media.granularity
+        self._combine_bytes = config.lsq.combine_bytes
+        self._combine_window_ps = config.lsq.combine_window_ps
+        self._lsq_proc_ps = t.lsq_proc_ps
+        self._rmw_hit_ps = t.rmw_hit_ps
+        self._rmw_fill_ps = t.rmw_fill_ps
+        self._engine_op_ps = t.engine_op_ps
+        self._bus_line_ps = t.bus_line_ps
+        self._ddrt_grant_ps = t.ddrt_grant_ps
+        self._engine_holds_partial = t.engine_holds_partial
+        if self.lazy is not None:
+            self._lazy_hit_ps = self.lazy.config.hit_ps
+            self._lazy_hot_writes = (config.wear.migrate_threshold
+                                     * self.lazy.config.hot_fraction)
+
         s = self.stats
         self._c_reads = s.counter("dimm.reads")
         self._c_writes = s.counter("dimm.write_lines")
@@ -115,6 +137,10 @@ class NvramDimm:
         self._c_ait_fill_bytes = s.counter("dimm.ait_fill_bytes")
         self._c_write_bytes = s.counter("dimm.requested_write_bytes")
         self._c_drained_bytes = s.counter("dimm.drained_write_bytes")
+        # Eviction counters enter the registry (and the snapshot) at the
+        # first eviction; each DIMM binds it then.
+        self._c_ait_evictions = None
+        self._c_rmw_evictions = None
 
         # Pull-gauges on the instrumentation bus: station occupancy and
         # blocked/busy time of every FCFS resource in the pipeline.
@@ -130,41 +156,16 @@ class NvramDimm:
             self.lazy.publish(bus, "lazy")
 
     # ------------------------------------------------------------------
-    # address helpers
-    # ------------------------------------------------------------------
-
-    def _block_of(self, addr: int) -> int:
-        return align_down(addr, self.config.rmw.entry_bytes)
-
-    def _page_of(self, addr: int) -> int:
-        return align_down(addr, self.config.ait.entry_bytes)
-
-    def _table_addr(self, addr: int) -> int:
-        page_index = addr // self.config.ait.entry_bytes
-        return (page_index * self.config.ait.table_record_bytes) % max(
-            self._table_bytes, CACHE_LINE
-        )
-
-    def _slot_addr(self, slot: int, offset: int = 0) -> int:
-        return self._table_bytes + slot * self.config.ait.entry_bytes + offset
-
-    def _turnaround(self, is_write: bool, when: int) -> int:
-        """Apply the read<->write bus redirection penalty."""
-        penalty = 0
-        if self._last_dir_write is not None and self._last_dir_write != is_write:
-            penalty = TURNAROUND_PS
-        self._last_dir_write = is_write
-        return when + penalty
-
-    # ------------------------------------------------------------------
     # AIT paths
     # ------------------------------------------------------------------
 
     def _ait_lookup(self, addr: int, now: int) -> int:
         """Translation-record read from the on-DIMM DRAM; returns
         completion."""
+        done = self.dram.access(
+            addr // self._ait_bytes * self._record_bytes % self._table_span,
+            False, now)
         h = self.hooks
-        done = self.dram.access(self._table_addr(addr), False, now)
         if h.on:
             h.flight.span("dimm.ait", now, done, phase="table",
                           source="dram")
@@ -176,7 +177,11 @@ class NvramDimm:
             slot = self._ait_free.pop()
         else:
             _, slot = self._ait_tags.popitem(last=False)
-            self.stats.counter("dimm.ait_evictions").add()
+            evictions = self._c_ait_evictions
+            if evictions is None:
+                evictions = self._c_ait_evictions = self.stats.counter(
+                    "dimm.ait_evictions")
+            evictions.value += 1
         self._ait_tags[page] = slot
         return slot
 
@@ -187,45 +192,46 @@ class NvramDimm:
         AIT-buffer hits read from on-DIMM DRAM; misses fetch the whole
         4KB entry from media (critical-block-first, so the caller gets
         its 256B as soon as that unit lands; the rest of the fill keeps
-        the media port busy in the background).
+        the media port busy in the background).  The entry lies inside
+        one wear block (``DimmConfig`` checks the geometry), so one
+        remap lookup places all of its units.
         """
-        cfg = self.config
-        page = self._page_of(addr)
-        block = self._block_of(addr)
+        page = addr - addr % self._ait_bytes
+        offset = addr - addr % self._rmw_bytes - page
         done_table = self._ait_lookup(addr, now)
 
         h = self.hooks
-        slot = self._ait_tags.get(page)
+        tags = self._ait_tags
+        slot = tags.get(page)
         if slot is not None:
-            self._ait_tags.move_to_end(page)
-            self._c_ait_hits.add()
-            offset = block - page
+            tags.move_to_end(page)
+            self._c_ait_hits.value += 1
             done = self.dram.access_block(
-                self._slot_addr(slot, offset), cfg.rmw.entry_bytes, False, done_table
-            )
+                self._table_bytes + slot * self._ait_bytes + offset,
+                self._rmw_bytes, False, done_table)
             if h.on:
                 h.flight.span("dimm.ait", done_table, done,
                               phase="buffer_hit")
             return done
 
         # AIT miss: 4KB media fill.
-        self._c_ait_misses.add()
-        self._c_ait_fill_bytes.add(cfg.ait.entry_bytes)
-        start = self.wear.on_read(page, done_table)
-        gran = cfg.media.granularity
-        # Critical 256B first.
-        array_done = self.media.access(self.wear.translate(block), False, start)
-        first = self.media_port.serve(array_done, MEDIA_PORT_READ_PS)
+        self._c_ait_misses.value += 1
+        self._c_ait_fill_bytes.value += self._ait_bytes
+        wear = self.wear
+        start = wear.on_read(page, done_table)
+        physical = wear.translate(page)
+        # Critical 256B first: its array read, then its port slot.
+        critical = physical + offset
+        array_done = self.media.access(critical, False, start)
+        port = self.media_port
+        first = port.serve(array_done, MEDIA_PORT_READ_PS)
         if h.on:
             h.flight.span("dimm.media_port", array_done, first, phase="read")
-        # Background: the remaining units of the 4KB entry.
-        fill_done = first
-        unit = page
-        while unit < page + cfg.ait.entry_bytes:
-            if unit != block:
-                done = self.media.access(self.wear.translate(unit), False, start)
-                fill_done = max(fill_done, self.media_port.serve(done, MEDIA_PORT_READ_PS))
-            unit += gran
+        # Background: the remaining units of the 4KB entry, each through
+        # the port after its array read.
+        self.media.access_block(physical, self._ait_bytes, False, start,
+                                skip=critical, port=port,
+                                port_ps=MEDIA_PORT_READ_PS)
         self._ait_insert(page, now)
         # The DRAM fill of the slot happens in the background over the
         # on-DIMM DRAM's spare bandwidth; demand table lookups are
@@ -247,46 +253,44 @@ class NvramDimm:
         transferred over the media port (the issuing engine is free), and
         the time the array program finishes (the LSQ entry retires).
         """
-        cfg = self.config
-        page = self._page_of(addr)
-        block = self._block_of(addr)
+        page = addr - addr % self._ait_bytes
+        block = addr - addr % self._rmw_bytes
         done_table = self._ait_lookup(addr, now)
 
-        ready, _migrated = self.wear.on_write(block, done_table)
+        wear = self.wear
+        ready, _migrated = wear.on_write(block, done_table)
         handoff = self.media_port.serve(ready, MEDIA_PORT_WRITE_PS)
         h = self.hooks
         if h.on:
             h.flight.span("dimm.media_port", ready, handoff, phase="write")
-        durable = self.media.access(self.wear.translate(block), True, handoff)
+        durable = self.media.access(wear.translate(block), True, handoff)
 
-        slot = self._ait_tags.get(page)
+        tags = self._ait_tags
+        slot = tags.get(page)
         if slot is not None:
-            self._ait_tags.move_to_end(page)
+            tags.move_to_end(page)
         else:
             slot = self._ait_insert(page, now)
         self.dram.access_block(
-            self._slot_addr(slot, block - page), cfg.rmw.entry_bytes, True,
-            done_table,
-        )
-        self._c_drained_bytes.add(cfg.media.granularity)
+            self._table_bytes + slot * self._ait_bytes + (block - page),
+            self._rmw_bytes, True, done_table)
+        self._c_drained_bytes.value += self._gran
         return handoff, durable
 
     # ------------------------------------------------------------------
     # RMW buffer
     # ------------------------------------------------------------------
 
-    def _rmw_touch(self, block: int) -> bool:
-        """LRU lookup; returns hit/miss."""
-        if block in self._rmw_tags:
-            self._rmw_tags.move_to_end(block)
-            return True
-        return False
-
     def _rmw_insert(self, block: int) -> None:
-        self._rmw_tags[block] = True
-        if len(self._rmw_tags) > self.config.rmw.entries:
-            self._rmw_tags.popitem(last=False)
-            self.stats.counter("dimm.rmw_evictions").add()
+        tags = self._rmw_tags
+        tags[block] = True
+        if len(tags) > self._rmw_entries:
+            tags.popitem(last=False)
+            evictions = self._c_rmw_evictions
+            if evictions is None:
+                evictions = self._c_rmw_evictions = self.stats.counter(
+                    "dimm.rmw_evictions")
+            evictions.value += 1
 
     # ------------------------------------------------------------------
     # public request interface (called by the iMC)
@@ -317,45 +321,52 @@ class NvramDimm:
 
     def read_line(self, addr: int, now: int) -> int:
         """Service a 64B read; returns the time data reaches the iMC."""
-        t = self.t
-        self._c_reads.add()
-        self._c_req_read_bytes.add(CACHE_LINE)
-        admit = self.lsq.admit(now)
-        start = self._turnaround(False, admit + t.lsq_proc_ps)
-        block = self._block_of(addr)
+        self._c_reads.value += 1
+        self._c_req_read_bytes.value += CACHE_LINE
+        lsq = self.lsq
+        admit = lsq.admit(now)
+        start = admit + self._lsq_proc_ps
+        if self._last_dir_write:
+            # read<->write bus redirection (TURNAROUND_PS)
+            start += TURNAROUND_PS
+        self._last_dir_write = False
+        block = addr - addr % self._rmw_bytes
         h = self.hooks
         if h.on:
             h.flight.span("dimm.lsq", now, admit, phase="wait")
             h.flight.span("dimm.lsq", admit, start, phase="proc")
 
-        if self.lazy is not None and self.lazy.contains(block):
+        lazy = self.lazy
+        rmw = self._rmw_tags
+        if lazy is not None and lazy.contains(block):
             # The Lazy cache holds the newest copy of wear-hot blocks.
-            self._c_rmw_hits.add()
-            ready = self.engine.serve(start, self.lazy.config.hit_ps)
+            self._c_rmw_hits.value += 1
+            ready = self.engine.serve(start, self._lazy_hit_ps)
             if h.on:
                 h.flight.span("dimm.lazy", start, ready, phase="hit")
-        elif self._rmw_touch(block):
-            self._c_rmw_hits.add()
-            ready = self.engine.serve(start, t.rmw_hit_ps)
+        elif block in rmw:
+            rmw.move_to_end(block)
+            self._c_rmw_hits.value += 1
+            ready = self.engine.serve(start, self._rmw_hit_ps)
             if h.on:
                 h.flight.span("dimm.rmw", start, ready, phase="hit")
         else:
-            self._c_rmw_misses.add()
-            self._c_rmw_fill_bytes.add(self.config.rmw.entry_bytes)
-            op_done = self.engine.serve(start, t.engine_op_ps)
+            self._c_rmw_misses.value += 1
+            self._c_rmw_fill_bytes.value += self._rmw_bytes
+            op_done = self.engine.serve(start, self._engine_op_ps)
             if h.on:
                 h.flight.span("dimm.engine", start, op_done, phase="op")
             ready = self._ait_read_block(addr, op_done)
             if h.on:
-                h.flight.span("dimm.rmw", ready, ready + t.rmw_fill_ps,
+                h.flight.span("dimm.rmw", ready, ready + self._rmw_fill_ps,
                               phase="fill")
-            ready += t.rmw_fill_ps
+            ready += self._rmw_fill_ps
             self._rmw_insert(block)
 
-        done = self.bus.serve(ready, t.bus_line_ps) + t.ddrt_grant_ps
+        done = self.bus.serve(ready, self._bus_line_ps) + self._ddrt_grant_ps
         if h.on:
             h.flight.span("dimm.return_bus", ready, done, phase="return")
-        self.lsq.retire_at(done)
+        lsq.retire_at(done)
         return done
 
     def write_line(self, addr: int, now: int, nbytes: int = CACHE_LINE) -> int:
@@ -365,13 +376,17 @@ class NvramDimm:
         line's journey to media continues asynchronously; its LSQ slot is
         freed when the (possibly combined) downstream op completes.
         """
-        t = self.t
-        self._c_writes.add()
-        self._c_write_bytes.add(nbytes)
-        admit = self.lsq.admit(now)
-        arrive = self._turnaround(True, admit + t.lsq_proc_ps)
-        block = self._block_of(addr)
-        line = align_down(addr, CACHE_LINE)
+        self._c_writes.value += 1
+        self._c_write_bytes.value += nbytes
+        lsq = self.lsq
+        admit = lsq.admit(now)
+        arrive = admit + self._lsq_proc_ps
+        if self._last_dir_write is False:
+            # read<->write bus redirection (TURNAROUND_PS)
+            arrive += TURNAROUND_PS
+        self._last_dir_write = True
+        block = addr - addr % self._rmw_bytes
+        line = addr - addr % CACHE_LINE
         h = self.hooks
         if h.on:
             h.flight.span("dimm.lsq", now, admit, phase="wait")
@@ -380,89 +395,94 @@ class NvramDimm:
         if (
             self._wc_block == block
             and line not in self._wc_lines
-            and arrive - self._wc_last_ps <= self.config.lsq.combine_window_ps
+            and arrive - self._wc_last_ps <= self._combine_window_ps
         ):
             if h.on and h.flight.active:
                 h.flight.instant("dimm.lsq", "write_combine", arrive,
                                  block=f"0x{block:x}")
             self._wc_lines.add(line)
             self._wc_last_ps = arrive
-            if len(self._wc_lines) * CACHE_LINE >= self.config.lsq.combine_bytes:
+            if len(self._wc_lines) * CACHE_LINE >= self._combine_bytes:
                 self._flush_wc(arrive)
-                self.lsq.retire_at(self._wc_drain_ps)
+                lsq.retire_at(self._wc_drain_ps)
             else:
                 # Retirement recorded at the most recent combined-op
                 # drain — each admitted line frees its LSQ slot at an op
                 # completion, which keeps slot-free spacing equal to the
                 # downstream drain rate under FCFS.
-                self.lsq.retire_at(max(arrive, self._wc_drain_ps))
+                drain = self._wc_drain_ps
+                lsq.retire_at(arrive if arrive > drain else drain)
             return admit
 
         self._flush_wc(arrive)
         self._wc_block = block
         self._wc_lines = {line}
         self._wc_last_ps = arrive
-        self.lsq.retire_at(max(arrive, self._wc_drain_ps))
+        drain = self._wc_drain_ps
+        lsq.retire_at(arrive if arrive > drain else drain)
         return admit
 
     def _flush_wc(self, now: int) -> int:
         """Issue the pending write-combine block downstream."""
-        if self._wc_block is None:
-            return now
-        t = self.t
-        h = self.hooks
         block = self._wc_block
+        if block is None:
+            return now
+        h = self.hooks
         nbytes = len(self._wc_lines) * CACHE_LINE
         self._wc_block = None
         self._wc_lines = set()
 
-        if self.lazy is not None:
+        lazy = self.lazy
+        if lazy is not None:
             # Lazy cache (Section V-C): wear-hot blocks are absorbed by
             # the 3KB ADR-protected cache instead of writing through —
             # no media write, no wear accrual, no migration stall.
-            wear_cfg = self.wear.config
-            count = self.wear.block_write_count(block)
-            if count >= wear_cfg.migrate_threshold * self.lazy.config.hot_fraction:
-                self.lazy.mark_hot(block)
-            if self.lazy.contains(block) or self.lazy.is_hot(block):
-                done = self.engine.serve(now, self.lazy.config.hit_ps)
+            if self.wear.block_write_count(block) >= self._lazy_hot_writes:
+                lazy.mark_hot(block)
+            if lazy.contains(block) or lazy.is_hot(block):
+                done = self.engine.serve(now, self._lazy_hit_ps)
                 if h.on:
                     h.flight.span("dimm.lazy", now, done, phase="absorb")
                     # The block's newest data now lives in Lazy SRAM, not
                     # media — the persistence checker marks it dirty until
                     # an eviction writeback lands.
                     h.faults.note_lazy_absorb(block, done)
-                for victim in self.lazy.absorb(block, now=done):
+                for victim in lazy.absorb(block, now=done):
                     _, durable = self._ait_write_block(victim, 256, done)
-                    done = max(done, durable)
+                    if durable > done:
+                        done = durable
                     if h.on:
                         h.faults.note_lazy_writeback(victim, durable)
                 self._wc_drain_ps = done
                 return done
 
-        start = self.engine.serve(now, t.engine_op_ps)
+        engine = self.engine
+        start = engine.serve(now, self._engine_op_ps)
         if h.on:
             h.flight.span("dimm.engine", now, start, phase="op")
-        partial = nbytes < self.config.lsq.combine_bytes
+        partial = nbytes < self._combine_bytes
         if partial:
             # Sub-256B store: read-modify-write.  The merge data comes
             # from the RMW buffer when resident, otherwise from the AIT.
-            self._c_partial_ops.add()
-            if not self._rmw_touch(block):
+            self._c_partial_ops.value += 1
+            rmw = self._rmw_tags
+            if block in rmw:
+                rmw.move_to_end(block)
+            else:
                 start = self._ait_read_block(block, start)
         else:
-            self._c_combined_ops.add()
+            self._c_combined_ops.value += 1
         self._rmw_insert(block)
         handoff, durable = self._ait_write_block(block, nbytes, start)
-        if (partial and t.engine_holds_partial
-                and handoff > self.engine.busy_until):
+        if (partial and self._engine_holds_partial
+                and handoff > engine.busy_until):
             # The RMW engine holds a partial op through merge and media
             # handoff.  This single serial resource bounds random
             # small-write throughput — producing the paper's LSQ-overflow
             # store plateau (Fig. 5a, 4KB inflection) and the RMW
             # contention scaling pathology — while combined 256B ops only
             # pay the media write port, keeping sequential bandwidth high.
-            self.engine.busy_until = handoff
+            engine.busy_until = handoff
         self._wc_drain_ps = durable
         return durable
 
@@ -473,7 +493,7 @@ class NvramDimm:
         h = self.hooks
         if h.on:
             h.flight.span("dimm.lsq", now, drain, phase="drain")
-        return max(done, drain)
+        return done if done > drain else drain
 
     # ------------------------------------------------------------------
     # experiment support
@@ -483,13 +503,13 @@ class NvramDimm:
         """Pre-populate buffer tag state for a region, equivalent to
         running an untimed warm-up pass (documented fast-forward)."""
         cfg = self.config
-        page = self._page_of(start_addr)
+        page = align_down(start_addr, cfg.ait.entry_bytes)
         end = start_addr + length
         while page < end and len(self._ait_tags) < cfg.ait.entries:
             if page not in self._ait_tags:
                 self._ait_insert(page, 0)
             page += cfg.ait.entry_bytes
-        block = self._block_of(start_addr)
+        block = align_down(start_addr, cfg.rmw.entry_bytes)
         while block < end and len(self._rmw_tags) < cfg.rmw.entries:
             self._rmw_insert(block)
             block += cfg.rmw.entry_bytes

@@ -69,6 +69,7 @@ class IntegratedMemoryController:
         # Frozen-config hop constants hoisted off the per-request path.
         self._ddrt_request_ps = config.dimm.timing.ddrt_request_ps
         self._wpq_xfer_ps = config.dimm.timing.wpq_xfer_ps
+        self._map = self.interleaver.map
 
     def profile_points(self):
         """Host-profiler attribution points (see ``TargetSystem``)."""
@@ -80,9 +81,9 @@ class IntegratedMemoryController:
 
     def read(self, addr: int, now: int) -> int:
         """Issue a 64B read; returns the time data reaches the core side."""
-        self._c_reads.add()
+        self._c_reads.value += 1
         h = self.hooks
-        dimm_idx, local = self.interleaver.map(addr)
+        dimm_idx, local = self._map(addr)
         rpq = self.rpqs[dimm_idx]
         start = rpq.admit(now)
         if h.on:
@@ -105,9 +106,9 @@ class IntegratedMemoryController:
         the DIMM continues asynchronously and frees the WPQ slot when the
         line has been transferred into the DIMM LSQ.
         """
-        self._c_writes.add()
+        self._c_writes.value += 1
         h = self.hooks
-        dimm_idx, local = self.interleaver.map(addr)
+        dimm_idx, local = self._map(addr)
         wpq = self.wpqs[dimm_idx]
         accept = wpq.admit(now)
         if h.on:
@@ -125,12 +126,12 @@ class IntegratedMemoryController:
             h.flight.span("imc.write_bus", accept, xfer_done,
                           phase="drain", channel=dimm_idx)
         lsq_admit = self.dimms[dimm_idx].write_line(local, xfer_done, nbytes)
-        wpq.retire_at(max(lsq_admit, xfer_done))
+        wpq.retire_at(lsq_admit if lsq_admit > xfer_done else xfer_done)
         return accept
 
     def fence(self, now: int) -> int:
         """Drain every WPQ and DIMM LSQ; returns the global drain time."""
-        self._c_fences.add()
+        self._c_fences.value += 1
         done = now
         h = self.hooks
         for channel, (wpq, dimm) in enumerate(zip(self.wpqs, self.dimms)):
@@ -138,7 +139,11 @@ class IntegratedMemoryController:
             if h.on:
                 h.flight.span("imc.wpq", now, wpq_done, phase="drain",
                               channel=channel)
-            done = max(done, wpq_done, dimm.flush(now))
+            dimm_done = dimm.flush(now)
+            if wpq_done > done:
+                done = wpq_done
+            if dimm_done > done:
+                done = dimm_done
         if h.on:
             h.faults.note_fence(done)
         return done

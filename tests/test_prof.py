@@ -366,6 +366,23 @@ class TestCli:
         assert main(["diff", str(tmp_path / "missing.json"),
                      str(bad)]) == 2
 
+    def test_run_cli_coverage_excludes_the_root_frame(self, tmp_path,
+                                                      capsys):
+        """The root ``experiment.<id>`` frame spans the run; its self
+        time is what no station claimed, so coverage leaves it out."""
+        from repro.tools.prof_cli import main
+
+        path = tmp_path / "p.json"
+        assert main(["run", "numa", "--top", "1", "--json", str(path)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("wall "))
+        doc = json.loads(path.read_text())
+        root_ns = doc["frames"]["experiment.numa"]["self_ns"]
+        assert root_ns > 0
+        coverage = (doc["total_self_ns"] - root_ns) / doc["wall_ns"]
+        assert f"({coverage:.1%} coverage" in line
+        assert "experiment.numa" in line
+
     def test_run_cli_unknown_experiment_exits_two(self):
         from repro.tools.prof_cli import main
 

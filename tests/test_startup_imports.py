@@ -3,7 +3,8 @@
 The registry names each experiment's module and imports it on the
 first run of that id; numpy loads with the first Zipf sampler (fig12,
 fig13 only); the process supervisor, and with it ``multiprocessing``,
-loads only on the fan-out path.  The import guards start a fresh
+loads only on the fan-out path; the LENS probers load with the first
+``characterize()``, not with the static tables beside it.  The import guards start a fresh
 interpreter, since this test session has long since imported
 everything; the last test checks that every registry entry names a
 module that exists, which would otherwise surface only when that
@@ -34,6 +35,8 @@ print(json.dumps({
     "multiprocessing": "multiprocessing" in sys.modules,
     "experiments": sorted(m for m in sys.modules
                           if m.startswith("repro.experiments")),
+    "probers": sorted(m for m in sys.modules
+                      if m.startswith("repro.lens.probers")),
 }))
 """
 
@@ -71,6 +74,8 @@ def test_a_run_loads_only_its_own_experiment(exp_id, module):
     assert loaded["multiprocessing"] is False
     assert set(loaded["experiments"]) == _CORE | {
         f"repro.experiments.{module}"}
+    # tables reads only the static TABLE_I/TABLE_II of repro.lens.report
+    assert loaded["probers"] == []
 
 
 def test_list_imports_no_experiment_module():

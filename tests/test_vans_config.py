@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.units import GIB, KIB, MIB
+from repro.media.wear import WearConfig
 from repro.vans.config import (
     AitConfig,
     DimmConfig,
@@ -74,6 +75,27 @@ def test_interleaving_requires_multiple_dimms():
 def test_ait_must_fit_on_dimm_dram():
     with pytest.raises(ConfigError):
         DimmConfig(ait=AitConfig(entries=1 << 20))  # 4GB > 512MB DRAM
+
+
+@pytest.mark.parametrize("dimm", [
+    # 128 KiB entry: spans two 64 KiB wear blocks
+    dict(ait=AitConfig(entry_bytes=128 * KIB)),
+    # 8 KiB entry over 4 KiB wear blocks
+    dict(wear=WearConfig(block_bytes=4 * KIB), ait=AitConfig(entry_bytes=8 * KIB)),
+    # 3 KiB entries: the one at 63 KiB straddles two 64 KiB wear blocks
+    dict(ait=AitConfig(entry_bytes=3 * KIB)),
+    # 128 B entry: half a 256 B media unit
+    dict(ait=AitConfig(entry_bytes=128)),
+    # 8 KiB RMW blocks do not fit in a 4 KiB entry
+    dict(rmw=RmwConfig(entry_bytes=8 * KIB)),
+], ids=["spans-wear-blocks", "spans-small-wear-blocks", "straddles-wear-block",
+        "part-media-unit", "part-rmw-block"])
+def test_ait_entry_geometry_is_checked(dimm):
+    """An AIT fill remaps its entry with one wear-block lookup, so the
+    entry must sit inside one wear block, in whole media units and
+    whole RMW blocks."""
+    with pytest.raises(ConfigError):
+        DimmConfig(**dimm)
 
 
 def test_rmw_entry_multiple_of_combine():
