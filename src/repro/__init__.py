@@ -15,23 +15,22 @@ Public API tour:
 * ``repro.workloads`` — SPEC-calibrated and cloud workload generators.
 * ``repro.optim`` — Pre-translation and Lazy cache.
 * ``repro.experiments`` — one module per paper table/figure.
+
+The package's own re-exports (``TargetSystem``, ``VansSystem``,
+``VansConfig``, ``optane_config``, ``MemoryModeSystem``,
+``OptaneReference``) resolve on first use (:mod:`repro._lazy`), so
+``import repro`` alone loads no subsystem.
 """
 
-# version first: submodules (telemetry.manifest) read it during import,
-# possibly while this package is still partially initialized.
+from repro._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
-from repro.target import TargetSystem
-from repro.vans import VansConfig, VansSystem, MemoryModeSystem
-from repro.vans.config import optane_config
-from repro.reference import OptaneReference
-
-__all__ = [
-    "TargetSystem",
-    "VansConfig",
-    "VansSystem",
-    "MemoryModeSystem",
-    "optane_config",
-    "OptaneReference",
-    "__version__",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.target": ["TargetSystem"],
+    "repro.vans.config": ["VansConfig", "optane_config"],
+    "repro.vans.system": ["VansSystem"],
+    "repro.vans.memory_mode": ["MemoryModeSystem"],
+    "repro.reference.optane": ["OptaneReference"],
+})
+__all__.append("__version__")

@@ -1,10 +1,9 @@
 """Exception hierarchy for the repro package."""
 
-import difflib
-
 
 def _suggest(name, known):
     """``"; did you mean 'x'?"`` (or ``'x' or 'y'``) for a typo'd name."""
+    import difflib  # only an error message pays for it
     matches = difflib.get_close_matches(name, known, n=2, cutoff=0.5)
     if not matches:
         return ""

@@ -10,31 +10,7 @@ constraints).  Used in three places, mirroring the paper:
 The command stream each controller produces can be replayed through
 :class:`~repro.dram.verifier.DDR4ProtocolChecker`, which plays the role
 of Micron's Verilog verification model in Section IV-B.
+
+The package re-exports nothing: import each name from the module that
+defines it.
 """
-
-from repro.dram.timing import (
-    DDR4Timing,
-    DDR4_2666,
-    DDR4_2400,
-    DDR3_1600,
-    PCM_TIMING,
-)
-from repro.dram.command import Command, CmdType
-from repro.dram.address import AddressMapping
-from repro.dram.controller import DramController
-from repro.dram.device import DramDevice
-from repro.dram.verifier import DDR4ProtocolChecker
-
-__all__ = [
-    "DDR4Timing",
-    "DDR4_2666",
-    "DDR4_2400",
-    "DDR3_1600",
-    "PCM_TIMING",
-    "Command",
-    "CmdType",
-    "AddressMapping",
-    "DramController",
-    "DramDevice",
-    "DDR4ProtocolChecker",
-]

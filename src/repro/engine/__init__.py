@@ -14,23 +14,7 @@ Two complementary timing facilities live here:
   ``max(arrival, stage_free) + service``, so the whole DIMM pipeline can
   be computed forward exactly without per-cycle ticking.  This is what
   makes a cycle-resolution model fast enough in pure Python.
+
+The package re-exports nothing: import each name from the module that
+defines it.
 """
-
-from repro.engine.event import Engine, Event
-from repro.engine.queueing import FcfsStation, Server, BankedServer
-from repro.engine.request import Op, Request
-from repro.engine.stats import Counter, Histogram, LatencySeries, StatsRegistry
-
-__all__ = [
-    "Engine",
-    "Event",
-    "FcfsStation",
-    "Server",
-    "BankedServer",
-    "Op",
-    "Request",
-    "Counter",
-    "Histogram",
-    "LatencySeries",
-    "StatsRegistry",
-]

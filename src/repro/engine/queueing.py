@@ -7,8 +7,8 @@ non-decreasing arrival times, the departure process they compute is
 identical to what a per-cycle simulation of the same station produces.
 
 * :class:`Server` — a single resource serving one request at a time.
-* :class:`BankedServer` — N independent servers selected by bank index
-  (used for DRAM banks and 3D-XPoint media partitions).
+* :class:`BankedServer` — N independent servers that callers index
+  directly (the 3D-XPoint media partitions), with aggregate gauges.
 * :class:`FcfsStation` — a bounded buffer of K entries drained in order;
   admission blocks when the buffer is full (the WPQ/LSQ behaviour that
   produces the paper's 512B and 4KB write inflection points).
@@ -44,10 +44,6 @@ class Server:
         self.served += 1
         return completion
 
-    def next_free(self, arrival: int) -> int:
-        """Earliest time service could start for an arrival at ``arrival``."""
-        return arrival if arrival > self.busy_until else self.busy_until
-
     def utilization(self, elapsed: int) -> float:
         """Fraction of ``elapsed`` spent busy (0 if no time passed)."""
         return self.total_busy / elapsed if elapsed > 0 else 0.0
@@ -63,7 +59,8 @@ class Server:
 
 
 class BankedServer:
-    """A set of independent FCFS servers indexed by bank number."""
+    """A set of independent FCFS servers: callers serve on ``banks[i]``
+    directly; this owns them and publishes their aggregate gauges."""
 
     __slots__ = ("banks", "nbanks")
 
@@ -75,13 +72,6 @@ class BankedServer:
 
     def __len__(self) -> int:
         return self.nbanks
-
-    def serve(self, bank: int, arrival: int, service: int) -> int:
-        """Serve on bank ``bank``; returns the completion time."""
-        return self.banks[bank % self.nbanks].serve(arrival, service)
-
-    def next_free(self, bank: int, arrival: int) -> int:
-        return self.banks[bank % self.nbanks].next_free(arrival)
 
     @property
     def served(self) -> int:

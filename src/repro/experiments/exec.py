@@ -10,7 +10,11 @@ The registry names each experiment's module
 (``repro.experiments.<module>``) and imports it on the first run of
 that id, so a process imports only the experiments it runs: ``--list``,
 ``--filter``, id validation and longest-first scheduling read only the
-spec metadata.
+spec metadata.  Observers follow the same rule: the fault plan,
+persistence checker, fault report and flight breakdowns are imported
+inside the branch that builds or reads them, so a plain run loads only
+the modules that hold the five ``session()`` context managers and the
+null objects.
 
 Two front ends drive it:
 
@@ -31,26 +35,26 @@ import random
 import time
 from dataclasses import dataclass
 from importlib import import_module
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro import registry
 from repro.common.errors import UnknownExperimentError, _suggest
 from repro.experiments.common import ExperimentResult, Scale
 from repro.faults.injector import NULL_FAULTS, FaultInjector
 from repro.faults.injector import session as faults_session
-from repro.faults.persistence import PersistenceChecker
-from repro.faults.plan import FaultPlan
-from repro.faults.report import fault_report
-from repro.flight import FlightRecord, FlightRecorder, breakdowns
-from repro.flight import session as flight_session
+from repro.flight.recorder import FlightRecorder
+from repro.flight.recorder import session as flight_session
 from repro.instrument import Collection
 from repro.progress import NULL_PROGRESS, ProgressReporter  # noqa: F401  (re-export)
 from repro.progress import session as progress_session
-from repro.prof.profiler import Profiler
 from repro.prof.profiler import session as prof_session
-from repro.telemetry import TelemetrySampler
-from repro.telemetry import session as telemetry_session
+from repro.telemetry.sampler import TelemetrySampler
+from repro.telemetry.sampler import session as telemetry_session
+
+if TYPE_CHECKING:
+    from repro.flight.recorder import FlightRecord
+    from repro.prof.profiler import Profiler
 
 DEFAULT_SEED = 42
 
@@ -182,6 +186,8 @@ def _fault_injector(faults: Optional[Mapping[str, object]]
     :class:`FaultPlan`); ``None`` when no plan was given."""
     if faults is None:
         return None
+    from repro.faults.persistence import PersistenceChecker
+    from repro.faults.plan import FaultPlan
     plan = (faults if isinstance(faults, FaultPlan)
             else FaultPlan.from_dict(faults))
     return FaultInjector(plan, checker=PersistenceChecker())
@@ -258,6 +264,7 @@ def run_experiment(exp_id: str, scale: Scale = Scale.SMOKE,
     wall_s = time.time() - start
     flight_summary: Dict[str, object] = {}
     if flight is not None:
+        from repro.flight.report import breakdowns
         flight_summary = {
             "sampling": flight.sampling_summary(),
             "breakdowns": {op: bd.as_dict()
@@ -269,6 +276,7 @@ def run_experiment(exp_id: str, scale: Scale = Scale.SMOKE,
                          "timeline": sampler.timeline.as_dict()}
     faults_doc: Dict[str, object] = {}
     if injector is not None:
+        from repro.faults.report import fault_report
         faults_doc = fault_report(injector)
     session_doc = dict(session) if session is not None else {}
     for result in results:
@@ -382,6 +390,7 @@ def run_stream(target: str, ops: Sequence[Mapping[str, object]],
         snapshot = collection.merged()
     faults_doc: Dict[str, object] = {}
     if injector is not None:
+        from repro.faults.report import fault_report
         faults_doc = fault_report(injector)
     total = sum(counts.values())
     return {

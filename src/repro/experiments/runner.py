@@ -25,12 +25,11 @@ This module keeps the *campaign* concerns:
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 import traceback
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import UnknownExperimentError
 # Re-exported execution core: tests and tools import these names from
@@ -55,7 +54,9 @@ from repro.experiments.exec import (  # noqa: F401
     validate_ids,
 )
 from repro.experiments.common import ExperimentResult, Scale
-from repro.flight import FlightRecord, breakdowns, save_chrome_trace
+
+if TYPE_CHECKING:
+    from repro.flight.recorder import FlightRecord
 
 
 def run_all(scale: Scale = Scale.SMOKE, ids: Optional[List[str]] = None,
@@ -202,6 +203,7 @@ def _print_result(result: ExperimentResult, plot: bool) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("ids", nargs="*", metavar="id",
                         help="experiment ids (default: all; see --list)")
@@ -332,10 +334,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.tools.telemetry_opts import report_telemetry
         report_telemetry(collected, args)
     if flight_spec is not None:
+        from repro.flight.report import breakdowns
         for op, breakdown in breakdowns(all_records).items():
             print(breakdown.render())
             print()
     if args.flight_out:
+        from repro.flight.chrome import save_chrome_trace
         events = save_chrome_trace(all_records, args.flight_out)
         print(f"[exported {events} trace events to {args.flight_out}]")
     if args.json:

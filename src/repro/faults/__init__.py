@@ -23,64 +23,26 @@ modes first-class, schema'd, and deterministic:
 * :mod:`repro.faults.report` — the combined fault-run document
   (schema ``repro.faultreport/1``) CLIs and the experiment runner
   attach to results.
+
+The names re-exported here load their submodule on first use
+(:mod:`repro._lazy`): every system's hooks need only
+:data:`NULL_FAULTS` and :func:`current`, so a run without a plan never
+imports the plan, persistence or report modules.
 """
 
-from repro.faults.injector import (
-    NULL_FAULTS,
-    FaultInjector,
-    NullFaultInjector,
-    current,
-    session,
-)
-from repro.faults.plan import (
-    FAULTPLAN_SCHEMA,
-    KINDS,
-    FaultPlan,
-    FaultSpec,
-    load_plan,
-    power_cut_plan,
-    random_plan,
-    save_plan,
-    validate_plan,
-)
-from repro.faults.persistence import (
-    LOSS_REASONS,
-    PERSISTENCE_SCHEMA,
-    PersistenceChecker,
-    PersistenceReport,
-    validate_persistence,
-    validate_report,
-)
-from repro.faults.report import (
-    FAULTREPORT_SCHEMA,
-    fault_report,
-    render_fault_report,
-    validate_fault_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULTPLAN_SCHEMA",
-    "FAULTREPORT_SCHEMA",
-    "KINDS",
-    "LOSS_REASONS",
-    "NULL_FAULTS",
-    "PERSISTENCE_SCHEMA",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "NullFaultInjector",
-    "PersistenceChecker",
-    "PersistenceReport",
-    "current",
-    "fault_report",
-    "load_plan",
-    "power_cut_plan",
-    "random_plan",
-    "render_fault_report",
-    "save_plan",
-    "session",
-    "validate_fault_report",
-    "validate_persistence",
-    "validate_plan",
-    "validate_report",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.faults.injector": [
+        "NULL_FAULTS", "FaultInjector", "NullFaultInjector", "current",
+        "session"],
+    "repro.faults.plan": [
+        "FAULTPLAN_SCHEMA", "KINDS", "FaultPlan", "FaultSpec", "load_plan",
+        "power_cut_plan", "random_plan", "save_plan", "validate_plan"],
+    "repro.faults.persistence": [
+        "LOSS_REASONS", "PERSISTENCE_SCHEMA", "PersistenceChecker",
+        "PersistenceReport", "validate_persistence", "validate_report"],
+    "repro.faults.report": [
+        "FAULTREPORT_SCHEMA", "fault_report", "render_fault_report",
+        "validate_fault_report"],
+})

@@ -36,12 +36,14 @@ stream driver         ``note_store`` / ``flush_scope`` (cached stores,
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.common.session import SessionStack
-from repro.faults.plan import FaultPlan, FaultSpec
-from repro.faults.persistence import PersistenceChecker
 from repro.flight.recorder import current as current_flight
+
+if TYPE_CHECKING:
+    from repro.faults.persistence import PersistenceChecker
+    from repro.faults.plan import FaultPlan, FaultSpec
 
 
 class NullFaultInjector:

@@ -3,45 +3,22 @@
 The instrumentation bus aggregates; the flight recorder explains.  See
 ``docs/ARCHITECTURE.md`` ("Observability") for the split and the span
 schema.
+
+The names re-exported here load their submodule on first use
+(:mod:`repro._lazy`): a run without a recorder imports only
+:mod:`repro.flight.recorder`, for :data:`NULL_FLIGHT` and
+:func:`current`.
 """
 
-from repro.flight.chrome import save_chrome_trace, to_chrome_trace
-from repro.flight.recorder import (
-    MODES,
-    NULL_FLIGHT,
-    FlightRecord,
-    FlightRecorder,
-    InstantEvent,
-    NullFlightRecorder,
-    SpanEvent,
-    current,
-    session,
-)
-from repro.flight.report import (
-    OTHER,
-    LatencyBreakdown,
-    StageStats,
-    attribute,
-    breakdown_by_size,
-    breakdowns,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MODES",
-    "NULL_FLIGHT",
-    "OTHER",
-    "FlightRecord",
-    "FlightRecorder",
-    "InstantEvent",
-    "LatencyBreakdown",
-    "NullFlightRecorder",
-    "SpanEvent",
-    "StageStats",
-    "attribute",
-    "breakdown_by_size",
-    "breakdowns",
-    "current",
-    "save_chrome_trace",
-    "session",
-    "to_chrome_trace",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.flight.recorder": [
+        "MODES", "NULL_FLIGHT", "FlightRecord", "FlightRecorder",
+        "InstantEvent", "NullFlightRecorder", "SpanEvent", "current",
+        "session"],
+    "repro.flight.report": [
+        "OTHER", "LatencyBreakdown", "StageStats", "attribute",
+        "breakdown_by_size", "breakdowns"],
+    "repro.flight.chrome": ["save_chrome_trace", "to_chrome_trace"],
+})

@@ -10,50 +10,24 @@ Public surface:
   exporters — ways to look at a timeline;
 * :mod:`repro.telemetry.bench` — ``repro-bench``, the deterministic
   model-metric gate (host time is measured by ``perfbench/``).
+
+The names re-exported here load their submodule on first use
+(:mod:`repro._lazy`): a plain run imports only the sampler and its
+series, never the manifest (``hashlib``, ``subprocess``, ``platform``)
+or the exporters (``csv``).
 """
 
-from repro.telemetry.export import (
-    render_timeline,
-    save_chrome_counters,
-    save_timelines_csv,
-    sparkline,
-    to_chrome_counters,
-)
-from repro.telemetry.manifest import (
-    MANIFEST_SCHEMA,
-    config_hash,
-    git_info,
-    run_manifest,
-    validate_manifest,
-)
-from repro.telemetry.sampler import (
-    DEFAULT_INTERVAL_PS,
-    NULL_TELEMETRY,
-    NullTelemetry,
-    TelemetrySampler,
-    current,
-    session,
-)
-from repro.telemetry.series import KINDS, TimeSeries, Timeline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_INTERVAL_PS",
-    "KINDS",
-    "MANIFEST_SCHEMA",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "TelemetrySampler",
-    "TimeSeries",
-    "Timeline",
-    "config_hash",
-    "current",
-    "git_info",
-    "render_timeline",
-    "run_manifest",
-    "save_chrome_counters",
-    "save_timelines_csv",
-    "session",
-    "sparkline",
-    "to_chrome_counters",
-    "validate_manifest",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.telemetry.sampler": [
+        "DEFAULT_INTERVAL_PS", "NULL_TELEMETRY", "NullTelemetry",
+        "TelemetrySampler", "current", "session"],
+    "repro.telemetry.series": ["KINDS", "TimeSeries", "Timeline"],
+    "repro.telemetry.manifest": [
+        "MANIFEST_SCHEMA", "config_hash", "git_info", "run_manifest",
+        "validate_manifest"],
+    "repro.telemetry.export": [
+        "render_timeline", "save_chrome_counters", "save_timelines_csv",
+        "sparkline", "to_chrome_counters"],
+})

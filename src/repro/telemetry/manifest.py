@@ -23,19 +23,10 @@ import sys
 from datetime import datetime, timezone
 from typing import Any, Dict, Mapping, Optional
 
+from repro import __version__
+
 #: manifest document version (bump on breaking key changes)
 MANIFEST_SCHEMA = "repro.manifest/1"
-
-
-def _package_version() -> str:
-    # lazy: repro/__init__ imports subsystems that (indirectly) import
-    # this module, so a top-level ``from repro import __version__`` could
-    # run against a partially initialized package.
-    try:
-        import repro
-        return getattr(repro, "__version__", "unknown")
-    except Exception:
-        return "unknown"
 
 
 def config_hash(config: Any) -> str:
@@ -99,7 +90,7 @@ def run_manifest(*, seed: Optional[int] = None,
         "schema": MANIFEST_SCHEMA,
         "created_utc": datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
-        "package_version": _package_version(),
+        "package_version": __version__,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),

@@ -14,42 +14,24 @@ LENS (Figure 8):
 * FCFS internal scheduling and a request/grant iMC<->DIMM protocol.
 
 The top-level entry point is :class:`~repro.vans.system.VansSystem`.
+
+The names re-exported here load their submodule on first use
+(:mod:`repro._lazy`): building a VANS system never imports the
+functional model, the attach port or the tracing proxy.
 """
 
-from repro.vans.config import (
-    VansConfig,
-    DimmConfig,
-    LsqConfig,
-    RmwConfig,
-    AitConfig,
-    WpqConfig,
-    TimingConfig,
-)
-from repro.vans.dimm import NvramDimm
-from repro.vans.imc import IntegratedMemoryController
-from repro.vans.interleave import Interleaver
-from repro.vans.system import VansSystem
-from repro.vans.memory_mode import MemoryModeSystem
-from repro.vans.functional import FunctionalMemory
-from repro.vans.attach import AttachedMemory
-from repro.vans.tracing import TraceRecord, TracingProxy, replay
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VansConfig",
-    "DimmConfig",
-    "LsqConfig",
-    "RmwConfig",
-    "AitConfig",
-    "WpqConfig",
-    "TimingConfig",
-    "NvramDimm",
-    "IntegratedMemoryController",
-    "Interleaver",
-    "VansSystem",
-    "MemoryModeSystem",
-    "FunctionalMemory",
-    "AttachedMemory",
-    "TraceRecord",
-    "TracingProxy",
-    "replay",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.vans.config": [
+        "VansConfig", "DimmConfig", "LsqConfig", "RmwConfig", "AitConfig",
+        "WpqConfig", "TimingConfig"],
+    "repro.vans.dimm": ["NvramDimm"],
+    "repro.vans.imc": ["IntegratedMemoryController"],
+    "repro.vans.interleave": ["Interleaver"],
+    "repro.vans.system": ["VansSystem"],
+    "repro.vans.memory_mode": ["MemoryModeSystem"],
+    "repro.vans.functional": ["FunctionalMemory"],
+    "repro.vans.attach": ["AttachedMemory"],
+    "repro.vans.tracing": ["TraceRecord", "TracingProxy", "replay"],
+})

@@ -23,6 +23,7 @@ responsible for (and that the paper's figures hinge on):
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import filterfalse, islice
 from typing import Optional, Set, Tuple
 
 from repro.common.units import align_down
@@ -501,18 +502,31 @@ class NvramDimm:
 
     def warm_fill(self, start_addr: int, length: int) -> None:
         """Pre-populate buffer tag state for a region, equivalent to
-        running an untimed warm-up pass (documented fast-forward)."""
+        running an untimed warm-up pass (documented fast-forward).
+
+        The region's pages (blocks) not yet buffered are appended in
+        address order until the AIT (RMW) buffer is full, taking AIT
+        slots off the free list in :meth:`_ait_insert`'s order.  Entries
+        already buffered keep their LRU place; nothing is evicted.
+        """
         cfg = self.config
-        page = align_down(start_addr, cfg.ait.entry_bytes)
         end = start_addr + length
-        while page < end and len(self._ait_tags) < cfg.ait.entries:
-            if page not in self._ait_tags:
-                self._ait_insert(page, 0)
-            page += cfg.ait.entry_bytes
-        block = align_down(start_addr, cfg.rmw.entry_bytes)
-        while block < end and len(self._rmw_tags) < cfg.rmw.entries:
-            self._rmw_insert(block)
-            block += cfg.rmw.entry_bytes
+        tags = self._ait_tags
+        step = cfg.ait.entry_bytes
+        pages = list(islice(
+            filterfalse(tags.__contains__,
+                        range(align_down(start_addr, step), end, step)),
+            cfg.ait.entries - len(tags)))
+        free = self._ait_free
+        cut = len(free) - len(pages)
+        tags.update(zip(pages, reversed(free[cut:])))
+        del free[cut:]
+        rmw = self._rmw_tags
+        step = cfg.rmw.entry_bytes
+        rmw.update(dict.fromkeys(islice(
+            filterfalse(rmw.__contains__,
+                        range(align_down(start_addr, step), end, step)),
+            cfg.rmw.entries - len(rmw)), True))
 
     def invalidate_buffers(self) -> None:
         """Drop all cached tag state, Lazy-cache entries included (cold

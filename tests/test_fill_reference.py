@@ -17,6 +17,12 @@ capacity.
 
 ``DramDevice.access_block`` dispatches each line to its channel itself;
 it is checked the same way against a loop of ``DramDevice.access``.
+
+``NvramDimm.warm_fill`` appends a region's missing AIT pages and RMW
+blocks in one ``OrderedDict.update`` each; :func:`_reference_warm_fill`
+is the loop it replaced, one ``_ait_insert`` per page and one
+``_rmw_insert`` per block.  Twin DIMMs must end with the same tags in
+the same LRU order, the same AIT slots and free list, and no eviction.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from repro.flight import FlightRecorder
 from repro.hooks import Hooks
 from repro.media.wear import WearConfig
 from repro.media.xpoint import XPointConfig
-from repro.vans.config import AitConfig, DimmConfig
+from repro.vans.config import AitConfig, DimmConfig, RmwConfig
 from repro.vans.dimm import MEDIA_PORT_READ_PS, NvramDimm
 
 N_OPS = 3000
@@ -177,3 +183,62 @@ def test_dram_block_access_matches_the_line_loop(nchannels, row_policy):
         assert fast.access_block(addr, nbytes, is_write, now) == want
     assert fast.all_commands() == ref.all_commands()
     assert fast.stats.snapshot() == ref.stats.snapshot()
+
+
+def _reference_warm_fill(dimm: NvramDimm, start_addr: int,
+                         length: int) -> None:
+    """``warm_fill`` as one ``_ait_insert`` per page and one
+    ``_rmw_insert`` per block."""
+    cfg = dimm.config
+    page = start_addr - start_addr % cfg.ait.entry_bytes
+    end = start_addr + length
+    while page < end and len(dimm._ait_tags) < cfg.ait.entries:
+        if page not in dimm._ait_tags:
+            dimm._ait_insert(page, 0)
+        page += cfg.ait.entry_bytes
+    block = start_addr - start_addr % cfg.rmw.entry_bytes
+    while block < end and len(dimm._rmw_tags) < cfg.rmw.entries:
+        dimm._rmw_insert(block)
+        block += cfg.rmw.entry_bytes
+
+
+def _buffer_state(dimm: NvramDimm):
+    return (list(dimm._ait_tags.items()), list(dimm._ait_free),
+            list(dimm._rmw_tags.items()))
+
+
+#: 8 AIT pages (32 KiB) and 96 RMW blocks (24 KiB)
+WARM_CONFIG = DimmConfig(ait=AitConfig(entries=8), rmw=RmwConfig(entries=96))
+
+#: name -> (reads made before the fill, fills as (start, length)): a
+#: fresh DIMM; one whose buffers hold some of the region, in an LRU
+#: order unlike address order, with a fill that starts mid-page; one
+#: whose fill overruns both buffers and then finds them full
+WARM_FILLS = {
+    "fresh": ([], [(0, 20 * KIB)]),
+    "partly filled": ([9 * KIB, 2 * KIB, 5 * KIB + 256, 12 * KIB],
+                      [(1 * KIB + 100, 22 * KIB)]),
+    "overrun": ([30 * KIB], [(0, 64 * KIB), (64 * KIB, 16 * KIB)]),
+}
+
+
+@pytest.mark.parametrize("case", list(WARM_FILLS))
+def test_warm_fill_matches_the_per_entry_loop(case):
+    reads, fills = WARM_FILLS[case]
+    fast, ref = NvramDimm(WARM_CONFIG), NvramDimm(WARM_CONFIG)
+    for dimm in (fast, ref):
+        for addr in reads:
+            dimm.read_line(addr, 0)
+    assert _buffer_state(fast) == _buffer_state(ref)
+    for start, length in fills:
+        fast.warm_fill(start, length)
+        _reference_warm_fill(ref, start, length)
+        assert _buffer_state(fast) == _buffer_state(ref)
+    ait, free, rmw = _buffer_state(fast)
+    full = case == "overrun"
+    assert (free == []) is full
+    assert (len(rmw) == WARM_CONFIG.rmw.entries) is full
+    assert len(ait) + len(free) == WARM_CONFIG.ait.entries
+    assert fast.stats.snapshot() == ref.stats.snapshot()
+    assert "dimm.ait_evictions" not in fast.stats.snapshot()
+    assert "dimm.rmw_evictions" not in fast.stats.snapshot()

