@@ -37,7 +37,7 @@ class SlowDramSystem(TargetSystem):
         self._c_writes = self.stats.counter("slowdram.writes")
 
     def read(self, addr: int, now: int) -> int:
-        self._c_reads.add()
+        self._c_reads.value += 1
         done = self.dram.access(addr, False, now + self.frontend_ps)
         h = self.hooks
         if h.on:
@@ -46,7 +46,7 @@ class SlowDramSystem(TargetSystem):
         return done
 
     def write(self, addr: int, now: int) -> int:
-        self._c_writes.add()
+        self._c_writes.value += 1
         done = self.dram.access(addr, True, now + self.frontend_ps)
         h = self.hooks
         if h.on:

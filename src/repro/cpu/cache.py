@@ -8,9 +8,9 @@ them within its ROB window.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, List, Optional, Tuple
+from typing import DefaultDict, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.units import KIB, MIB, is_power_of_two
@@ -49,16 +49,16 @@ class Cache:
     """One write-back, write-allocate, LRU set-associative cache level.
 
     Lines are 64 B: a byte address's tag is its line number ``addr >> 6``
-    and its set is ``tag & (nsets - 1)``.  Each set is an ``OrderedDict``
-    of tag -> dirty in LRU order, built on its first touch.  The LRU walk
-    itself lives in :meth:`CacheHierarchy.access`.
+    and its set is ``tag & (nsets - 1)``.  Each set is a plain ``dict``
+    of tag -> dirty, built on its first touch, whose insertion order is
+    its LRU order (oldest first).  The LRU walk itself lives in
+    :meth:`CacheHierarchy.access`.
     """
 
     def __init__(self, config: CacheConfig, stats: Optional[StatsRegistry] = None):
         self.config = config
         self.stats = stats or StatsRegistry()
-        self._sets: "DefaultDict[int, OrderedDict[int, bool]]" = (
-            defaultdict(OrderedDict))
+        self._sets: DefaultDict[int, Dict[int, bool]] = defaultdict(dict)
         self._mask = config.nsets - 1
         self._ways = config.ways
         self._hits = self.stats.counter(f"{config.name}.hits")
@@ -125,14 +125,16 @@ class CacheHierarchy:
         dirty victim hands its dirty state to the nearest lower level
         still holding the line, or becomes a memory write-back when none
         does; only L1 takes the write's dirty bit.
+
+        A lookup pops the tag from its set; a hit re-inserts it, which
+        makes it the newest, and the oldest (first) tag is the victim.
         """
         tag = addr >> 6
         l1 = self.l1
         set1 = l1._sets[tag & l1._mask]
-        if tag in set1:
-            set1.move_to_end(tag)
-            if is_write:
-                set1[tag] = True
+        dirty = set1.pop(tag, None)
+        if dirty is not None:
+            set1[tag] = dirty or is_write
             l1._hits.value += 1
             return "l1", self._l1_cycles, []
         l1._misses.value += 1
@@ -141,23 +143,25 @@ class CacheHierarchy:
         sets2 = l2._sets
         sets3 = l3._sets
         set2 = sets2[tag & l2._mask]
-        l2_hit = tag in set2
+        dirty = set2.pop(tag, None)
+        l2_hit = dirty is not None
         if l2_hit:
-            set2.move_to_end(tag)
+            set2[tag] = dirty
             l2._hits.value += 1
         else:
             l2._misses.value += 1
             set3 = sets3[tag & l3._mask]
-            l3_hit = tag in set3
+            dirty = set3.pop(tag, None)
+            l3_hit = dirty is not None
             if l3_hit:
-                set3.move_to_end(tag)
+                set3[tag] = dirty
                 l3._hits.value += 1
             else:
                 l3._misses.value += 1
         victims: List[int] = []
         if len(set1) >= l1._ways:
-            vtag, dirty = set1.popitem(False)
-            if dirty:
+            vtag = next(iter(set1))
+            if set1.pop(vtag):
                 l1._writebacks.value += 1
                 vset = sets2[vtag & l2._mask]
                 if vtag not in vset:
@@ -170,8 +174,8 @@ class CacheHierarchy:
         if l2_hit:
             return "l2", self._l2_cycles, victims
         if len(set2) >= l2._ways:
-            vtag, dirty = set2.popitem(False)
-            if dirty:
+            vtag = next(iter(set2))
+            if set2.pop(vtag):
                 l2._writebacks.value += 1
                 vset = sets3[vtag & l3._mask]
                 if vtag in vset:
@@ -182,8 +186,8 @@ class CacheHierarchy:
         if l3_hit:
             return "l3", self._l3_cycles, victims
         if len(set3) >= l3._ways:
-            vtag, dirty = set3.popitem(False)
-            if dirty:
+            vtag = next(iter(set3))
+            if set3.pop(vtag):
                 l3._writebacks.value += 1
                 victims.append(vtag << 6)
         set3[tag] = False

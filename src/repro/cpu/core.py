@@ -89,7 +89,8 @@ class TraceCore:
 
     def execute(self, trace: Iterable, max_ops: Optional[int] = None) -> None:
         """Run at most ``max_ops`` ops of the trace (all when None).  Each
-        op is a MemOp (see repro.cpu.system).
+        op is a record in MemOp field order (see repro.cpu.system): a
+        MemOp or a plain 8-tuple, unpacked by position.
 
         Per op, the only calls are the TLB hierarchy, one cache-hierarchy
         access per page-walk read and per data access, and the backend
@@ -118,10 +119,9 @@ class TraceCore:
         phase_tlb = self.phase_stats.tlb_misses
         cycles = self.cycles
         instructions = self.instructions
-        for op in islice(trace, max_ops):
+        for (nonmem, vaddr, is_write, dependent, mkpt, next_vaddr, persistent,
+             phase) in islice(trace, max_ops):
             start_cycles = cycles
-            nonmem = op.nonmem
-            vaddr = op.vaddr
 
             # front end: non-memory instructions retire at full width
             cycles += nonmem / width
@@ -145,12 +145,11 @@ class TraceCore:
                 cycles += walk
                 install(vaddr)
 
-            mkpt = op.mkpt and pretranslation is not None
+            mkpt = mkpt and pretranslation is not None
             if mkpt:
                 cycles += mkpt_cycles
 
             # data access
-            is_write = op.is_write
             level, lat, victims = access(vaddr, is_write)
             for victim in victims:
                 write(victim, int(cycles * cycle_ps))
@@ -163,13 +162,13 @@ class TraceCore:
             if is_write:
                 # stores retire via the buffer
                 cycles += lat if lat < 4.0 else 4.0
-                if op.persistent:
+                if persistent:
                     # durable store: clwb/nt-flush to the NVRAM write
                     # queue; cost is the WPQ accept latency, which grows
                     # under backpressure
                     now = int(cycles * cycle_ps)
                     cycles += (write(vaddr, now) - now) / cycle_ps
-            elif llc_miss and not op.dependent:
+            elif llc_miss and not dependent:
                 # overlap within the MLP window
                 completion = cycles + lat
                 if len(outstanding) >= mlp:
@@ -183,11 +182,10 @@ class TraceCore:
 
             # Pre-translation: a marked chase load returns the TLB entry
             # for the next node along with the data (Section V-B).
-            if mkpt and op.next_vaddr is not None:
-                if pretranslation.observe(vaddr, op.next_vaddr):
-                    install(op.next_vaddr)
+            if mkpt and next_vaddr is not None:
+                if pretranslation.observe(vaddr, next_vaddr):
+                    install(next_vaddr)
 
-            phase = op.phase
             phase_instrs[phase] = phase_instrs.get(phase, 0) + nonmem + 1
             phase_cycles[phase] = (phase_cycles.get(phase, 0.0)
                                    + (cycles - start_cycles))

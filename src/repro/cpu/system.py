@@ -8,7 +8,7 @@ optimization studies (Figure 13).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, NamedTuple, Optional
 
 from repro.cpu.cache import CacheHierarchy
 from repro.cpu.core import CoreConfig, TraceCore
@@ -17,8 +17,7 @@ from repro.engine.stats import StatsRegistry
 from repro.target import TargetSystem
 
 
-@dataclass(slots=True)
-class MemOp:
+class MemOp(NamedTuple):
     """One trace record: ``nonmem`` ordinary instructions followed by a
     memory access.
 
@@ -29,6 +28,11 @@ class MemOp:
     every durable write in a PM workload), which therefore reach the
     NVRAM instead of lingering in the CPU caches; ``phase`` labels the
     op for CPI attribution ("read"/"rest" in the Redis profile).
+
+    A trace record is any 8-tuple in this field order: ``spec_trace``
+    yields plain tuples, the cloud generators yield ``MemOp``s, and
+    ``TraceCore.execute`` and ``analyze`` unpack either by position.
+    ``MemOp._make(record)`` gives a plain record its field names.
     """
 
     nonmem: int

@@ -308,6 +308,7 @@ class NvramDimm:
         yield ("dimm.write_line", self, "write_line")
         yield ("dimm.flush", self, "flush")
         yield ("dimm.flush_wc", self, "_flush_wc")
+        yield ("dimm.warm_fill", self, "warm_fill")
         yield ("ait.lookup", self, "_ait_lookup")
         yield ("ait.insert", self, "_ait_insert")
         yield ("ait.read_block", self, "_ait_read_block")

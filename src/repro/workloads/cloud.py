@@ -16,7 +16,9 @@ pattern that drives the paper's observations:
   Pre-translation best case: every hop misses the TLB, every hop's
   pointer is stable across traversals).
 
-Generators emit :class:`~repro.cpu.system.MemOp` records; passing
+Generators emit MemOp records: each builds a
+:class:`~repro.cpu.system.MemOp` by keyword, a tuple in the record field
+order that ``TraceCore.execute`` unpacks by position.  Passing
 ``mkpt=True`` adds Pre-translation hints to chase loads (the "modified
 workload source" of Section V-D).
 """

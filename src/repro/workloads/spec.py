@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.common.rng import make_rng
 from repro.common.units import GIB, KIB
@@ -27,6 +27,9 @@ GAP = 20
 #: dwarfing the calibrated data-miss rate
 COLD_BURST = 8
 PAGE = 4 * KIB
+#: MemOp's defaults after ``dependent`` (``mkpt``, ``next_vaddr``,
+#: ``persistent``, ``phase``), which every SPEC record keeps
+_TAIL = MemOp(0, 0)[4:]
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,15 @@ def spec_workload(name: str) -> SpecWorkload:
 
 def spec_trace(name: str, nops: int, seed: int = 0,
                hot_set_bytes: int = 256 * KIB,
-               recent_pool_pages: int = 256) -> Iterator[MemOp]:
-    """Yield ``nops`` MemOps reproducing the benchmark's Table IV
+               recent_pool_pages: int = 256) -> Iterator[Tuple]:
+    """Yield ``nops`` trace records reproducing the benchmark's Table IV
     profile.
+
+    Each record is a plain 8-tuple in :class:`~repro.cpu.system.MemOp`
+    field order (``MemOp._make`` names its fields): ``GAP`` non-memory
+    instructions, the address, the write flag and, on a burst's first
+    load, the dependence flag, followed by ``MemOp``'s own defaults for
+    the other four fields.
 
     Hot references cycle through a cache-resident set.  Cold references
     come as ``COLD_BURST``-line sequential runs at page granularity;
@@ -123,13 +132,12 @@ def spec_trace(name: str, nops: int, seed: int = 0,
     burst_addr = 0
     p_start = wl.burst_start_prob
 
-    # MemOp(nonmem, vaddr, is_write[, dependent]) built positionally
     for _ in range(nops):
         is_write = random() < write_frac
         if burst_left > 0:
             burst_left -= 1
             burst_addr += CACHE_LINE
-            yield MemOp(GAP, burst_addr, is_write)
+            yield (GAP, burst_addr, is_write, False) + _TAIL
             continue
         if random() < p_start:
             if recent and random() > llc_miss_rate:
@@ -140,7 +148,7 @@ def spec_trace(name: str, nops: int, seed: int = 0,
             burst_addr = cold_base + page * PAGE
             burst_left = COLD_BURST - 1
             dependent = (not is_write) and random() < dependent_frac
-            yield MemOp(GAP, burst_addr, is_write, dependent)
+            yield (GAP, burst_addr, is_write, dependent) + _TAIL
         else:
             hot_cursor = (hot_cursor + 1) % hot_lines
-            yield MemOp(GAP, hot_cursor * CACHE_LINE, is_write)
+            yield (GAP, hot_cursor * CACHE_LINE, is_write, False) + _TAIL

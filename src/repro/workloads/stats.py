@@ -58,23 +58,25 @@ class TraceStats:
 
 
 def analyze(trace: Iterable[MemOp]) -> TraceStats:
-    """One pass over a trace; returns its profile."""
+    """One pass over a trace of records in ``MemOp`` field order (see
+    :class:`~repro.cpu.system.MemOp`); returns its profile."""
     stats = TraceStats()
     line_counts: Dict[int, int] = {}
     pages = set()
-    for op in trace:
+    for (nonmem, vaddr, is_write, dependent, mkpt, _next_vaddr, persistent,
+         _phase) in trace:
         stats.ops += 1
-        stats.instructions += op.nonmem + 1
-        line = op.vaddr - op.vaddr % CACHE_LINE
+        stats.instructions += nonmem + 1
+        line = vaddr - vaddr % CACHE_LINE
         line_counts[line] = line_counts.get(line, 0) + 1
-        pages.add(op.vaddr // 4096)
-        if op.is_write:
+        pages.add(vaddr // 4096)
+        if is_write:
             stats.writes += 1
-            if op.persistent:
+            if persistent:
                 stats.persistent_writes += 1
-        elif op.dependent:
+        elif dependent:
             stats.dependent_loads += 1
-        if op.mkpt:
+        if mkpt:
             stats.mkpt_hints += 1
     stats.unique_lines = len(line_counts)
     stats.unique_pages = len(pages)

@@ -1,8 +1,8 @@
-"""Golden digests of the CPU cache/TLB/core model.
+"""Golden digests of the CPU cache/TLB/core model and its SPEC traces.
 
-Two seeded runs must hash to the digests recorded from the reference
-implementation, so a rewrite of the per-access paths cannot change a
-single hit, victim, cycle or counter:
+Seeded runs must hash to the digests recorded from the reference
+implementation, so a rewrite of the per-access paths or of the trace
+records cannot change a single record, hit, victim, cycle or counter:
 
 * a 50k-op stream straight through ``CacheHierarchy`` + ``TlbHierarchy``
   (hot set, a strided sweep larger than the 32 MiB L3, random writes,
@@ -12,7 +12,10 @@ single hit, victim, cycle or counter:
 * every ``CLOUD_WORKLOADS`` trace through ``FullSystem`` on ``vans``,
   plain and with Pre-translation (``mkpt`` hints) over a Lazy-cache
   DIMM: the multi-phase, dependent, ``persistent`` and ``next_vaddr``
-  paths that ``mcf``'s all-``rest`` trace never takes.
+  paths that ``mcf``'s all-``rest`` trace never takes;
+* the first 5,000 records of every Table IV ``spec_trace``, each as a
+  tuple in ``MemOp`` field order (recorded when records were ``MemOp``
+  objects, from their fields in declaration order).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.cpu.tlb import TlbHierarchy
 from repro.engine.stats import StatsRegistry
 from repro.optim import PreTranslation
 from repro.workloads import CLOUD_WORKLOADS
-from repro.workloads.spec import spec_trace
+from repro.workloads.spec import SPEC_WORKLOADS, spec_trace
 
 N_OPS = 50_000
 HOT_BYTES = 48 * KIB
@@ -48,9 +51,12 @@ CORE_GOLDEN = (
     "1eb4172287cc3630e90ad765a363b91e65cb1f486f3ef2bae360222fd419c76c")
 CLOUD_GOLDEN = (
     "19bb2b6b44ecef36d90b32e3f75520ec2d97bad208b8c665fa8a202ce6971915")
+SPEC_GOLDEN = (
+    "ac3e9c42d6021be4327f0b6ae622976f08df4dfc694c4fb08a2c88b3f8dc51d2")
 
 CLOUD_OPS = 3000
 CLOUD_WARMUP = 1000
+SPEC_OPS = 5000
 
 
 def _hierarchy_run():
@@ -138,6 +144,12 @@ def _cloud_run():
     return parts
 
 
+def _spec_records():
+    """Every Table IV trace's first ``SPEC_OPS`` records, as tuples."""
+    return [(wl.name, [tuple(r) for r in spec_trace(wl.name, SPEC_OPS)])
+            for wl in SPEC_WORKLOADS]
+
+
 def _sha(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
@@ -161,3 +173,7 @@ def test_core_run_matches_golden_digest():
 
 def test_cloud_runs_match_golden_digest():
     assert _sha(_cloud_run()) == CLOUD_GOLDEN
+
+
+def test_spec_traces_match_golden_digest():
+    assert _sha(_spec_records()) == SPEC_GOLDEN

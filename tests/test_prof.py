@@ -143,6 +143,19 @@ class TestInstrumentLifecycle:
         finally:
             prof.uninstrument_all()
 
+    def test_warm_fill_is_attributed_to_the_dimm(self):
+        """A LENS pointer chase's fast-forward fill is a DIMM frame, not
+        part of the chase's own time."""
+        from repro.lens.microbench.pointer_chasing import PointerChasing
+        prof = Profiler()
+        with session(prof):
+            system = registry.build("vans")
+            PointerChasing(max_lines_per_point=64).read_latency_ns(
+                system, 1 << 20)
+        frames = prof.to_dict()["frames"]
+        assert frames["dimm.warm_fill"]["calls"] == 1
+        assert frames["vans.read"]["calls"] == 64
+
     def test_double_instrument_is_idempotent(self):
         prof = Profiler()
         system = VansSystem()

@@ -57,6 +57,11 @@ class TestZipf:
         assert all(0 <= k < n for k in zipf.sample_many(20))
 
 
+def _spec_ops(name, nops, **kwargs):
+    """``spec_trace`` records (plain tuples) with MemOp field names."""
+    return [MemOp._make(r) for r in spec_trace(name, nops, **kwargs)]
+
+
 class TestSpec:
     def test_thirteen_workloads(self):
         assert len(SPEC_WORKLOADS) == 13
@@ -66,29 +71,37 @@ class TestSpec:
             spec_workload("quake")
 
     def test_trace_length_and_types(self):
-        ops = list(spec_trace("gcc", 500))
-        assert len(ops) == 500
-        assert all(isinstance(op, MemOp) for op in ops)
+        """Records are plain tuples in MemOp field order."""
+        records = list(spec_trace("gcc", 500))
+        assert len(records) == 500
+        assert all(type(r) is tuple and len(r) == len(MemOp._fields)
+                   for r in records)
+        ops = [MemOp._make(r) for r in records]
+        assert all(isinstance(op.nonmem, int) and isinstance(op.vaddr, int)
+                   and isinstance(op.is_write, bool) for op in ops)
+        assert all(not op.mkpt and op.next_vaddr is None
+                   and not op.persistent and op.phase == "rest"
+                   for op in ops)
 
     def test_determinism(self):
-        a = [(o.vaddr, o.is_write) for o in spec_trace("mcf", 200, seed=7)]
-        b = [(o.vaddr, o.is_write) for o in spec_trace("mcf", 200, seed=7)]
+        a = [(o.vaddr, o.is_write) for o in _spec_ops("mcf", 200, seed=7)]
+        b = [(o.vaddr, o.is_write) for o in _spec_ops("mcf", 200, seed=7)]
         assert a == b
 
     def test_footprint_respected(self):
         wl = spec_workload("sjeng")
-        ops = list(spec_trace("sjeng", 5000))
+        ops = _spec_ops("sjeng", 5000)
         assert max(op.vaddr for op in ops) < wl.footprint_bytes + 2 * 256 * 1024
 
     def test_memory_intensity_ordering(self):
         """mcf touches cold memory far more often than omnetpp."""
         def cold_ops(name):
-            return sum(1 for op in spec_trace(name, 8000)
+            return sum(1 for op in _spec_ops(name, 8000)
                        if op.vaddr >= 256 * 1024)
         assert cold_ops("mcf") > 3 * cold_ops("omnetpp")
 
     def test_write_fraction_reasonable(self):
-        ops = list(spec_trace("lbm", 5000))
+        ops = _spec_ops("lbm", 5000)
         frac = sum(op.is_write for op in ops) / len(ops)
         assert 0.3 < frac < 0.6
 
