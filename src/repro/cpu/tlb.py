@@ -49,13 +49,14 @@ class Tlb:
     """One set-associative TLB with LRU replacement.
 
     Pages are 4 KiB: an address's VPN is ``vaddr >> 12`` and its set is
-    ``vpn & (nsets - 1)``.
+    ``vpn & (nsets - 1)``.  A set is an ordered set of VPNs in LRU order
+    (an ``OrderedDict`` whose values are unused).
     """
 
     def __init__(self, config: TlbConfig, stats: Optional[StatsRegistry] = None):
         self.config = config
         self.stats = stats or StatsRegistry()
-        self._sets: List["OrderedDict[int, int]"] = [
+        self._sets: List["OrderedDict[int, None]"] = [
             OrderedDict() for _ in range(config.nsets)
         ]
         self._mask = config.nsets - 1
@@ -73,7 +74,7 @@ class Tlb:
         self._misses.value += 1
         return False
 
-    def install(self, vaddr: int, pfn: int = 0) -> None:
+    def install(self, vaddr: int) -> None:
         vpn = vaddr >> 12
         tset = self._sets[vpn & self._mask]
         if vpn in tset:
@@ -81,7 +82,7 @@ class Tlb:
             return
         if len(tset) >= self._ways:
             tset.popitem(last=False)
-        tset[vpn] = pfn
+        tset[vpn] = None
 
     @property
     def hits(self) -> int:
@@ -143,11 +144,11 @@ class TlbHierarchy:
             addrs.append(self.PT_BASE + (level << 32) + index * 8)
         return addrs
 
-    def install(self, vaddr: int, pfn: int = 0) -> None:
+    def install(self, vaddr: int) -> None:
         """Install a translation in both levels (end of walk, or a
         Pre-translation fill from the NVRAM DIMM)."""
-        self.stlb.install(vaddr, pfn)
-        self.dtlb.install(vaddr, pfn)
+        self.stlb.install(vaddr)
+        self.dtlb.install(vaddr)
 
     @property
     def stlb_misses(self) -> int:

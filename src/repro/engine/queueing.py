@@ -48,14 +48,14 @@ class Server:
         """Fraction of ``elapsed`` spent busy (0 if no time passed)."""
         return self.total_busy / elapsed if elapsed > 0 else 0.0
 
-    def publish(self, bus, prefix: str) -> None:
-        """Register pull-gauges for this server on an instrument bus.
+    def publish(self, stats, prefix: str) -> None:
+        """Register pull-gauges for this server on a stats registry.
 
         Gauges are evaluated only at snapshot time, so publishing adds
         zero cost to the serve path.
         """
-        bus.gauge(f"{prefix}.served", lambda: self.served)
-        bus.gauge(f"{prefix}.busy_ps", lambda: self.total_busy)
+        stats.gauge(f"{prefix}.served", lambda: self.served)
+        stats.gauge(f"{prefix}.busy_ps", lambda: self.total_busy)
 
 
 class BankedServer:
@@ -81,10 +81,10 @@ class BankedServer:
     def total_busy(self) -> int:
         return sum(bank.total_busy for bank in self.banks)
 
-    def publish(self, bus, prefix: str) -> None:
+    def publish(self, stats, prefix: str) -> None:
         """Register aggregate pull-gauges across all banks."""
-        bus.gauge(f"{prefix}.served", lambda: self.served)
-        bus.gauge(f"{prefix}.busy_ps", lambda: self.total_busy)
+        stats.gauge(f"{prefix}.served", lambda: self.served)
+        stats.gauge(f"{prefix}.busy_ps", lambda: self.total_busy)
 
 
 class FcfsStation:
@@ -156,8 +156,8 @@ class FcfsStation:
         self._expire(now)
         return self._completions[-1] if self._completions else now
 
-    def publish(self, bus, prefix: str) -> None:
+    def publish(self, stats, prefix: str) -> None:
         """Register pull-gauges: admissions, blocked time, peak occupancy."""
-        bus.gauge(f"{prefix}.admitted", lambda: self.admitted)
-        bus.gauge(f"{prefix}.blocked_ps", lambda: self.total_wait)
-        bus.gauge(f"{prefix}.peak_occupancy", lambda: self.peak_occupancy)
+        stats.gauge(f"{prefix}.admitted", lambda: self.admitted)
+        stats.gauge(f"{prefix}.blocked_ps", lambda: self.total_wait)
+        stats.gauge(f"{prefix}.peak_occupancy", lambda: self.peak_occupancy)

@@ -1,15 +1,18 @@
 """Statistics collection: counters, histograms, and time series.
 
-Every simulated component registers its statistics in a
-:class:`StatsRegistry` so experiments can snapshot and diff them (the
-paper's validation compares internal counters such as the RMW buffer's
-read amplification against hardware counters).
+Every simulated system keeps its signals in one :class:`StatsRegistry`
+that its stations publish onto, so experiments, telemetry and progress
+frames all read the same names (the paper's validation compares
+internal counters such as the RMW buffer's read amplification against
+hardware counters).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+Number = Union[int, float]
 
 
 class Counter:
@@ -107,9 +110,9 @@ class Histogram:
     def as_stats(self) -> Dict[str, float]:
         """Self-describing snapshot of the distribution.
 
-        Every consumer (instrument-bus snapshots, the stats registry, the
-        telemetry sampler) expands histograms through this one method, so
-        a histogram always contributes the same uniform key set —
+        Every consumer (the stats registry's snapshot, the telemetry
+        sampler) expands histograms through this one method, so a
+        histogram always contributes the same uniform key set —
         ``count/sum/min/max/mean/p50/p99`` — no matter which station owns
         it.
         """
@@ -150,11 +153,22 @@ class LatencySeries:
 
 
 class StatsRegistry:
-    """Namespaced collection of counters and histograms."""
+    """Every signal one system publishes, by dotted name.
+
+    Three kinds: push-style counters and histograms that stations bump on
+    the request path, and pull-style **gauges**, callables registered
+    once and evaluated only at :meth:`snapshot` time.  Gauges are how the
+    queueing primitives (station occupancy, blocked time, server busy
+    time) become observable at zero request-path cost.  A composite
+    system shows a component's own registry under a prefix with
+    :meth:`nest`.
+    """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._gauges: Dict[str, Callable[[], Number]] = {}
+        self._nested: List[Tuple[str, "StatsRegistry"]] = []
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -170,23 +184,52 @@ class StatsRegistry:
             self._histograms[name] = hist
         return hist
 
-    def snapshot(self) -> Dict[str, float]:
-        """Counter values by name; histograms expand through
-        :meth:`Histogram.as_stats` (``.count/.sum/.min/.max/.mean/.p50/.p99``)."""
-        snap: Dict[str, float] = {name: c.value for name, c in self._counters.items()}
-        for name, hist in self._histograms.items():
+    def gauge(self, name: str, fn: Callable[[], Number]) -> None:
+        """Register a pull-style value; ``fn`` runs at snapshot time.
+
+        ``fn`` must not reach this registry (close over a station's
+        state, or over a station that keeps no reference to the
+        registry): a gauge that did would make its whole system cyclic
+        garbage, left for the cycle collector.
+        """
+        self._gauges[name] = fn
+
+    def nest(self, prefix: str, inner: "StatsRegistry") -> None:
+        """Show ``inner``'s signals, live, under ``prefix.``."""
+        self._nested.append((prefix, inner))
+
+    def signals(self) -> Tuple[Dict[str, Counter], Dict[str, Histogram],
+                               Dict[str, Callable[[], Number]]]:
+        """``(counters, histograms, gauges)`` by name, each in
+        registration order with nested registries' names prefixed after
+        this registry's own (the telemetry sampler needs the kinds that
+        the flat :meth:`snapshot` loses)."""
+        kinds = (dict(self._counters), dict(self._histograms),
+                 dict(self._gauges))
+        for prefix, inner in self._nested:
+            for mine, theirs in zip(kinds, inner.signals()):
+                for name, signal in theirs.items():
+                    mine[f"{prefix}.{name}"] = signal
+        return kinds
+
+    def snapshot(self) -> Dict[str, object]:
+        """Flat ``name -> value`` view: counters, then histograms
+        expanded through :meth:`Histogram.as_stats`
+        (``.count/.sum/.min/.max/.mean/.p50/.p99``), then gauges
+        evaluated now.  A gauge that raises does not abort the snapshot:
+        its name is listed under the ``errors`` key."""
+        counters, histograms, gauges = self.signals()
+        snap: Dict[str, object] = {
+            name: c.value for name, c in counters.items()}
+        for name, hist in histograms.items():
             for key, value in hist.as_stats().items():
                 snap[f"{name}.{key}"] = value
+        errors: List[str] = []
+        for name, fn in gauges.items():
+            try:
+                snap[name] = fn()
+            except Exception:
+                errors.append(name)
+        if errors:
+            snap["errors"] = errors
         return snap
-
-    def diff(self, before: Dict[str, float]) -> Dict[str, float]:
-        """Counter deltas relative to a previous :meth:`snapshot`."""
-        current = self.snapshot()
-        return {k: current.get(k, 0) - before.get(k, 0) for k in current}
-
-    def counters(self) -> Iterable[Counter]:
-        return self._counters.values()
-
-    def histograms(self) -> Dict[str, Histogram]:
-        """Histograms by name (a copy; safe to iterate while recording)."""
-        return dict(self._histograms)

@@ -151,8 +151,8 @@ class FaultInjector:
             "injected_ps": 0,
         }
         #: True once :meth:`publish` has registered this injector's
-        #: gauges on a bus — the registry publishes onto the *first*
-        #: instrumented system only, so merged collection snapshots
+        #: gauges — the registry publishes onto the *first* VANS or
+        #: Memory Mode system only, so merged collection snapshots
         #: (which sum per path across systems) count each fault once.
         self.published = False
         #: fault kinds already marked on the flight timeline (each kind
@@ -315,19 +315,19 @@ class FaultInjector:
 
     # -- reading --------------------------------------------------------
 
-    def publish(self, bus, prefix: str = "faults") -> None:
-        """Register pull-gauges for the injection counters on an
-        instrument bus (snapshot-time only, zero hot-path cost).
+    def publish(self, stats, prefix: str = "faults") -> None:
+        """Register pull-gauges for the injection counters on a system's
+        stats registry (snapshot-time only, zero hot-path cost).
 
         Call once per injector: collection snapshots sum per path
         across systems, so publishing the same counters onto several
-        buses would multiply them in merged views.  The registry
+        systems would multiply them in merged views.  The registry
         enforces this via :attr:`published`.
         """
         for name in self.counters:
-            bus.gauge(f"{prefix}.{name}",
-                      (lambda key: lambda: self.counters[key])(name))
-        bus.gauge(f"{prefix}.requests", lambda: self.requests)
+            stats.gauge(f"{prefix}.{name}",
+                        (lambda key: lambda: self.counters[key])(name))
+        stats.gauge(f"{prefix}.requests", lambda: self.requests)
         self.published = True
 
     def summary(self) -> Dict[str, object]:

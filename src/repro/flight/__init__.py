@@ -1,6 +1,6 @@
 """Per-request flight recorder: span events, sampling, breakdown, export.
 
-The instrumentation bus aggregates; the flight recorder explains.  See
+A system's stats registry aggregates; the flight recorder explains.  See
 ``docs/ARCHITECTURE.md`` ("Observability") for the split and the span
 schema.
 

@@ -1,7 +1,7 @@
 """The per-request flight recorder.
 
-The instrumentation bus (:mod:`repro.instrument`) answers *how much* —
-aggregate counters and gauges over a whole run.  The flight recorder
+A system's :class:`~repro.engine.stats.StatsRegistry` answers *how
+much* — aggregate counters and gauges over a whole run.  The flight recorder
 answers *where did this request's time go*: every station a request
 crosses (iMC queues, the DDR-T link, the DIMM LSQ, the RMW buffer, AIT
 translation, wear-leveling, 3D-XPoint media) records a span with

@@ -22,7 +22,7 @@ cases.  This package fuzzes it continuously:
   cases CI replays as a drift gate;
 * :mod:`repro.litmus.campaign` — the campaign driver: thousands of
   seeded cases through the crash-tolerant watchdogged worker scheme,
-  with litmus counters on an :class:`~repro.instrument.InstrumentBus`
+  with litmus counters on a :class:`~repro.engine.stats.StatsRegistry`
   and progress frames through :mod:`repro.progress`.
 
 Front end: the ``repro-litmus`` CLI

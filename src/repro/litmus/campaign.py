@@ -16,10 +16,9 @@ whole campaign bit-for-bit.  Execution modes:
   running ``repro-serve`` daemon, exercising the serve plane as
   fuzzing infrastructure.
 
-Campaign counters ride a real
-:class:`~repro.instrument.InstrumentBus` (``litmus.cases``,
-``litmus.violations``, …) whose snapshot lands in the report, and
-progress frames flow through an attached
+Campaign counters ride a :class:`~repro.engine.stats.StatsRegistry`
+(``litmus.cases``, ``litmus.violations``, …) whose snapshot lands in the
+report, and progress frames flow through an attached
 :class:`~repro.progress.ProgressReporter` (simulated time = cumulative
 ``sim_end_ps`` across finished cases).
 """
@@ -27,12 +26,13 @@ progress frames flow through an attached
 from __future__ import annotations
 
 import traceback
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.rng import make_rng
 from repro.common.supervise import run_jobs
+from repro.engine.stats import StatsRegistry
 from repro.experiments.exec import EXIT_ALL_FAILED, EXIT_OK, EXIT_PARTIAL
-from repro.instrument import InstrumentBus
 from repro.litmus.oracle import check, outcome_of, run_case
 from repro.litmus.program import DEFAULT_TARGETS, LitmusCase, random_case
 
@@ -48,16 +48,6 @@ _BATCH = 25
 
 #: cap on violation/loss-example payloads carried in the report
 _MAX_EXAMPLES = 20
-
-
-class _BusView:
-    """Adapter letting a ProgressReporter snapshot the campaign bus."""
-
-    def __init__(self, bus: InstrumentBus) -> None:
-        self._bus = bus
-
-    def instrument_snapshot(self) -> Dict[str, Any]:
-        return self._bus.snapshot()
 
 
 def _case_for(campaign_seed: int, index: int, case_seed: int,
@@ -97,21 +87,20 @@ def run_campaign(seed: int, cases: int,
                  timeout_s: float = 120.0,
                  retries: int = 1,
                  client: Optional[Any] = None,
-                 progress: Optional[Any] = None,
-                 bus: Optional[InstrumentBus] = None) -> Dict[str, Any]:
+                 progress: Optional[Any] = None) -> Dict[str, Any]:
     """Run a seeded litmus campaign; returns the campaign report.
 
     ``client`` switches every case to thin-client execution through a
     ``repro-serve`` daemon (serial; the daemon owns parallelism).
     ``progress`` is a live :class:`~repro.progress.ProgressReporter`.
     """
-    bus = bus if bus is not None else InstrumentBus()
-    c_cases = bus.counter("litmus.cases")
-    c_ok = bus.counter("litmus.ok")
-    c_violations = bus.counter("litmus.violations")
-    c_losses = bus.counter("litmus.losses")
-    c_cuts = bus.counter("litmus.cuts")
-    c_failed = bus.counter("litmus.failed")
+    stats = StatsRegistry()
+    c_cases = stats.counter("litmus.cases")
+    c_ok = stats.counter("litmus.ok")
+    c_violations = stats.counter("litmus.violations")
+    c_losses = stats.counter("litmus.losses")
+    c_cuts = stats.counter("litmus.cuts")
+    c_failed = stats.counter("litmus.failed")
 
     rng = make_rng(seed, "litmus-campaign")
     case_docs = [
@@ -119,7 +108,8 @@ def run_campaign(seed: int, cases: int,
         for index in range(cases)]
 
     if progress is not None:
-        progress.attach(_BusView(bus))
+        # the reporter reads anything with an instrument_snapshot()
+        progress.attach(SimpleNamespace(instrument_snapshot=stats.snapshot))
         progress.phase("litmus-campaign")
 
     records: List[Dict[str, Any]] = []
@@ -206,7 +196,7 @@ def run_campaign(seed: int, cases: int,
         "loss_examples": loss_examples,
         "failures": [{"name": f["case"]["name"], "error": f["error"],
                       "attempts": f["attempts"]} for f in failures],
-        "counters": bus.snapshot(),
+        "counters": stats.snapshot(),
     }
     report["exit_code"] = campaign_exit_code(report)
     return report

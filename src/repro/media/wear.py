@@ -69,7 +69,9 @@ class WearLeveler:
         self.config = config
         self.capacity_bytes = capacity_bytes
         self.nblocks = max(1, capacity_bytes // config.block_bytes)
-        self.stats = stats or StatsRegistry()
+        # no ``self.stats``: the gauges of :meth:`publish` close over the
+        # leveler, which must not reach the registry they live in
+        stats = stats or StatsRegistry()
         self.track_line_wear = track_line_wear
         self.hooks = hooks if hooks is not None else Hooks()
 
@@ -81,9 +83,9 @@ class WearLeveler:
         self._blocked_until: Dict[int, int] = {}
         self.line_wear: Dict[int, int] = {}  # 256B line -> media write count
 
-        self._migrations = self.stats.counter("wear.migrations")
-        self._stall_ps = self.stats.counter("wear.stall_ps")
-        self._writes = self.stats.counter("wear.media_writes")
+        self._migrations = stats.counter("wear.migrations")
+        self._stall_ps = stats.counter("wear.stall_ps")
+        self._writes = stats.counter("wear.media_writes")
         self._block_bytes = config.block_bytes
         self._threshold = config.migrate_threshold
         self._decay_window = config.decay_window_writes
@@ -174,17 +176,17 @@ class WearLeveler:
     def migrations(self) -> int:
         return self._migrations.value
 
-    def publish(self, bus, prefix: str = "wear") -> None:
-        """Register pull-gauges for wear state on an instrument bus.
+    def publish(self, stats, prefix: str = "wear") -> None:
+        """Register pull-gauges for wear state on a stats registry.
 
         The push-counters (migrations, stall time, media writes) already
         live in the shared stats registry; these gauges expose the
         *structural* state — how many blocks have accumulated wear and
         how many have been remapped — without any hot-path recording.
         """
-        bus.gauge(f"{prefix}.blocks_tracked", lambda: len(self._write_counts))
-        bus.gauge(f"{prefix}.blocks_remapped", lambda: len(self._remap))
-        bus.gauge(f"{prefix}.hot_lines_tracked", lambda: len(self.line_wear))
+        stats.gauge(f"{prefix}.blocks_tracked", lambda: len(self._write_counts))
+        stats.gauge(f"{prefix}.blocks_remapped", lambda: len(self._remap))
+        stats.gauge(f"{prefix}.hot_lines_tracked", lambda: len(self.line_wear))
 
     def top_written_lines(self, n: int = 10):
         """The ``n`` most-written 256B lines (requires track_line_wear)."""

@@ -156,14 +156,16 @@ class XPointMedia:
             port.served += served
         return busy
 
-    def publish(self, bus, prefix: str) -> None:
+    def publish(self, stats, prefix: str) -> None:
         """Register pull-gauges for the partition servers (aggregate
         served/busy plus occupancy of the busiest partition) — evaluated
-        only at snapshot time, zero cost on the access path."""
-        self.banks.publish(bus, f"{prefix}.banks")
-        bus.gauge(f"{prefix}.partitions", lambda: len(self.banks))
-        bus.gauge(f"{prefix}.max_busy_until",
-                  lambda: max(b.busy_until for b in self.banks.banks))
+        only at snapshot time, zero cost on the access path.  They close
+        over the banks, not over the media, which holds the registry."""
+        banks = self.banks
+        banks.publish(stats, f"{prefix}.banks")
+        stats.gauge(f"{prefix}.partitions", lambda: len(banks))
+        stats.gauge(f"{prefix}.max_busy_until",
+                    lambda: max(b.busy_until for b in banks.banks))
 
     @property
     def reads(self) -> int:

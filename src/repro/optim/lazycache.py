@@ -114,12 +114,15 @@ class LazyCache:
     def contains(self, block_addr: int) -> bool:
         return block_addr in self._lz2
 
-    def publish(self, bus, prefix: str) -> None:
+    def publish(self, stats, prefix: str) -> None:
         """Register occupancy pull-gauges (WLB / LZ1 / LZ2 entry counts)
-        on an instrument bus — snapshot-time only, zero write-path cost."""
-        bus.gauge(f"{prefix}.wlb_entries", lambda: len(self._wlb))
-        bus.gauge(f"{prefix}.lz1_entries", lambda: len(self._lz1))
-        bus.gauge(f"{prefix}.lz2_entries", lambda: len(self._lz2))
+        on a stats registry — snapshot-time only, zero write-path cost.
+        They close over the tag stores, not over this cache, which holds
+        the registry."""
+        wlb, lz1, lz2 = self._wlb, self._lz1, self._lz2
+        stats.gauge(f"{prefix}.wlb_entries", lambda: len(wlb))
+        stats.gauge(f"{prefix}.lz1_entries", lambda: len(lz1))
+        stats.gauge(f"{prefix}.lz2_entries", lambda: len(lz2))
 
     def flush(self) -> List[int]:
         """Drain everything (power-fail / fence path via ADR)."""

@@ -17,9 +17,7 @@ that behind named, parameterized specs:
     A zero-argument callable for harnesses that rebuild a fresh system
     per sweep point (LENS probers, latency sweeps).
 
-Every system built here gets a real :class:`~repro.instrument.InstrumentBus`
-attached (a bare constructor such as ``VansSystem()`` keeps the no-op
-``NULL_BUS``) and is announced to the active
+Every system built here is announced to the active
 :class:`~repro.instrument.Collection`, which is how the experiment
 runner attaches a merged observability snapshot to every
 :class:`~repro.experiments.common.ExperimentResult` without any
@@ -47,7 +45,7 @@ from repro.baselines.slow_dram import (
 from repro.common.errors import UnknownOverrideError, UnknownTargetError
 from repro.faults.injector import current as current_faults
 from repro.flight.recorder import current as current_flight
-from repro.instrument import InstrumentBus, announce
+from repro.instrument import announce
 from repro.progress import current as current_progress
 from repro.prof.profiler import current as current_prof
 from repro.reference import OptaneReference
@@ -156,15 +154,14 @@ def _attach_session(system: Any) -> Any:
                 sink.attach(system)
                 ticks.append(sink)
         system.hooks.set(current_flight(), faults, ticks)
-    if faults.enabled and not faults.published and not faults.plan.empty:
-        # Publish the injection counters onto the first instrumented
-        # system only: merged collection snapshots sum per path across
-        # systems, so a second registration would double-count faults.
-        # Empty plans publish nothing — their runs must stay
+    if (faults.enabled and not faults.published and not faults.plan.empty
+            and isinstance(system, (VansSystem, MemoryModeSystem))):
+        # Publish the injection counters onto the first VANS or Memory
+        # Mode system only: merged collection snapshots sum per path
+        # across systems, so a second registration would double-count
+        # faults.  Empty plans publish nothing — their runs must stay
         # bit-identical to NULL_FAULTS runs (the zero-cost contract).
-        bus = getattr(system, "instrument", None)
-        if isinstance(bus, InstrumentBus):
-            faults.publish(bus)
+        faults.publish(system.stats)
     prof = current_prof()
     if prof.enabled and isinstance(system, TargetSystem):
         # The host profiler wraps last, over the class methods every run
@@ -247,12 +244,7 @@ def _build_vans(config: Optional[VansConfig] = None,
                 track_line_wear: bool = False,
                 **config_overrides: Any) -> VansSystem:
     cfg = derive_vans_config(config, **config_overrides)
-    return VansSystem(cfg, track_line_wear=track_line_wear,
-                      instrument=InstrumentBus())
-
-
-def _build_memory_mode(**kwargs: Any) -> MemoryModeSystem:
-    return MemoryModeSystem(instrument=InstrumentBus(), **kwargs)
+    return VansSystem(cfg, track_line_wear=track_line_wear)
 
 
 # ----------------------------------------------------------------------
@@ -264,11 +256,7 @@ def _build_memory_mode(**kwargs: Any) -> MemoryModeSystem:
 #: signatures (minus the internal ``base`` positional).
 _VANS_ALLOWED = _allowed_params(_build_vans, derive_vans_config,
                                 exclude=("base",))
-_MEMMODE_ALLOWED = _allowed_params(MemoryModeSystem.__init__,
-                                   exclude=("instrument",))
-#: The DRAM-era baselines accept their model constructor's knobs; they
-#: have no bus-wired internals, and their stats registries already feed
-#: instrument_snapshot().
+#: The DRAM-era baselines accept their model constructor's knobs.
 _SLOWDRAM_ALLOWED = _allowed_params(SlowDramSystem.__init__,
                                     exclude=("timing", "name"))
 
@@ -285,7 +273,8 @@ register_target(TargetSpec(
     allowed=_VANS_ALLOWED))
 register_target(TargetSpec(
     "memory-mode", "DRAM DIMMs as a direct-mapped cache over NVRAM",
-    _build_memory_mode, category="vans", allowed=_MEMMODE_ALLOWED))
+    MemoryModeSystem, category="vans",
+    allowed=_allowed_params(MemoryModeSystem.__init__)))
 register_target(TargetSpec(
     "pmep", "PMEP delay-injection + bandwidth-throttle emulator",
     PMEPModel, allowed=_allowed_params(PMEPModel.__init__)))

@@ -96,24 +96,11 @@ class TargetSystem(ABC):
         """Optional fast-forward warm-up of internal buffer state."""
 
     def instrument_snapshot(self) -> dict:
-        """Flat observability snapshot (``dotted.path -> number``).
-
-        The default pulls the system's :class:`StatsRegistry` when it has
-        one; systems wired to an instrument bus override this to merge in
-        their gauges as well.
-        """
+        """Flat observability snapshot (``dotted.path -> number``): the
+        snapshot of the system's :class:`StatsRegistry`, which holds its
+        counters, histograms and station gauges (empty without one)."""
         stats = getattr(self, "stats", None)
-        return dict(stats.snapshot()) if stats is not None else {}
-
-    def stat_registries(self) -> list:
-        """Every :class:`StatsRegistry` the telemetry sampler should read.
-
-        Composite systems whose inner components keep their own registry
-        (e.g. Memory-mode wrapping an NVRAM backend) override this so the
-        sampler sees all of them.
-        """
-        stats = getattr(self, "stats", None)
-        return [stats] if stats is not None else []
+        return stats.snapshot() if stats is not None else {}
 
     def reset_state(self) -> None:
         """Optional: drop all internal state between experiment phases."""

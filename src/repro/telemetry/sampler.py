@@ -1,10 +1,10 @@
-"""Sim-clock-driven telemetry sampler over the instrumentation bus.
+"""Sim-clock-driven telemetry sampler over each system's stats registry.
 
-The instrumentation bus answers *how much, at the end*; the flight
-recorder answers *where one request's time went*.  The telemetry sampler
-answers the remaining question: *how did the run evolve* — queue depths,
-bandwidth, wear activity, cache hit counts as a function of simulated
-time.
+A system's :class:`~repro.engine.stats.StatsRegistry` answers *how
+much, at the end*; the flight recorder answers *where one request's time
+went*.  The telemetry sampler answers the remaining question: *how did
+the run evolve* — queue depths, bandwidth, wear activity, cache hit
+counts as a function of simulated time.
 
 * :data:`NULL_TELEMETRY` is the no-op current sampler outside a
   session;
@@ -20,9 +20,9 @@ time.
 Sampling is driven by *ticks*: each completed request reports the
 current simulated time.  When the clock crosses an
 interval boundary the sampler takes one typed snapshot of every attached
-system — counters (stats-registry and bus), pull-gauges (evaluated with
-the same error resilience as :meth:`InstrumentBus.snapshot`), and
-histogram statistics — and appends it to the :class:`Timeline`.
+system's registry — counters, pull-gauges (evaluated with the same error
+resilience as :meth:`StatsRegistry.snapshot`), and histogram
+statistics — and appends it to the :class:`Timeline`.
 
 Harnesses that rebuild a fresh system per sweep point restart the
 simulated clock at zero; each newly attached system therefore opens a
@@ -41,7 +41,6 @@ from typing import Dict, List, Tuple
 from repro.common.session import SessionStack
 from repro.common.units import US
 from repro.engine.stats import Histogram, StatsRegistry
-from repro.instrument import InstrumentBus
 from repro.telemetry.series import Timeline
 
 #: default sampling interval: 100 simulated microseconds
@@ -168,50 +167,30 @@ class TelemetrySampler:
 
     # -- sampling --------------------------------------------------------
 
-    def _sources(self, system: object):
-        """(StatsRegistry, root InstrumentBus) pair for one system."""
-        registries = []
-        getter = getattr(system, "stat_registries", None)
-        if callable(getter):
-            registries = [r for r in getter()
-                          if isinstance(r, StatsRegistry)]
-        else:
-            stats = getattr(system, "stats", None)
-            if isinstance(stats, StatsRegistry):
-                registries = [stats]
-        bus = getattr(system, "instrument", None)
-        bus = bus if isinstance(bus, InstrumentBus) else None
-        return registries, bus
-
     def _sample(self, t_ps: int) -> None:
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         hists: Dict[str, List[Histogram]] = {}
         errors: List[str] = []
         for system in self._systems:
-            registries, bus = self._sources(system)
-            for registry in registries:
-                for counter in registry.counters():
-                    counters[counter.name] = (
-                        counters.get(counter.name, 0) + counter.value)
-                for name, hist in registry.histograms().items():
-                    hists.setdefault(name, []).append(hist)
-            if bus is not None:
-                signals = bus.signals()
-                for path, counter in signals.counters.items():
-                    counters[path] = counters.get(path, 0) + counter.value
-                for path, hist in signals.histograms.items():
-                    hists.setdefault(path, []).append(hist)
-                for path, fn in signals.gauges.items():
-                    try:
-                        value = fn()
-                    except Exception:
-                        errors.append(path)
-                        continue
-                    if isinstance(value, bool) or not isinstance(
-                            value, (int, float)):
-                        continue
-                    gauges[path] = gauges.get(path, 0) + value
+            stats = getattr(system, "stats", None)
+            if not isinstance(stats, StatsRegistry):
+                continue
+            sys_counters, sys_hists, sys_gauges = stats.signals()
+            for path, counter in sys_counters.items():
+                counters[path] = counters.get(path, 0) + counter.value
+            for path, hist in sys_hists.items():
+                hists.setdefault(path, []).append(hist)
+            for path, fn in sys_gauges.items():
+                try:
+                    value = fn()
+                except Exception:
+                    errors.append(path)
+                    continue
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, float)):
+                    continue
+                gauges[path] = gauges.get(path, 0) + value
         stats: Dict[str, float] = {}
         for path, group in hists.items():
             count, merged = _merged_hist_stats(group)

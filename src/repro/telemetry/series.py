@@ -4,9 +4,9 @@ A :class:`Timeline` is an ordered set of samples taken at simulated-time
 boundaries; each sampled path becomes one :class:`TimeSeries` tagged
 with its signal *kind*:
 
-* ``counter`` — cumulative monotone values (instrument-bus counters,
-  stats-registry counters, histogram ``.count``s).  Deltas and rates are
-  derived views, so the stored series stays exact integers;
+* ``counter`` — cumulative monotone values (stats-registry counters,
+  histogram ``.count``s).  Deltas and rates are derived views, so the
+  stored series stays exact integers;
 * ``gauge`` — levels evaluated at sample time (queue occupancy, busy
   picoseconds, wear blocks tracked);
 * ``stat`` — distribution statistics at sample time (histogram

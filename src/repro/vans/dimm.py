@@ -51,12 +51,10 @@ class NvramDimm:
     """One Optane-like DIMM as an FCFS timing pipeline."""
 
     def __init__(self, config: DimmConfig, stats: Optional[StatsRegistry] = None,
-                 track_line_wear: bool = False, instrument=None,
+                 track_line_wear: bool = False,
                  hooks: Optional[Hooks] = None) -> None:
-        from repro.instrument import NULL_BUS
         self.config = config
         self.stats = stats or StatsRegistry()
-        self.instrument = instrument if instrument is not None else NULL_BUS
         self.hooks = hooks if hooks is not None else Hooks()
         t = config.timing
         self.t = t
@@ -143,18 +141,18 @@ class NvramDimm:
         self._c_ait_evictions = None
         self._c_rmw_evictions = None
 
-        # Pull-gauges on the instrumentation bus: station occupancy and
-        # blocked/busy time of every FCFS resource in the pipeline.
-        # No-ops on the default NULL_BUS.
-        bus = self.instrument
-        self.lsq.publish(bus, "lsq")
-        self.engine.publish(bus, "engine")
-        self.media_port.publish(bus, "media_port")
-        self.bus.publish(bus, "return_bus")
-        self.wear.publish(bus, "wear")
-        self.media.publish(bus, "media")
+    def publish(self, stats: StatsRegistry, prefix: str) -> None:
+        """Register pull-gauges on ``stats``: occupancy and blocked/busy
+        time of every FCFS resource in the pipeline, plus wear, media and
+        Lazy-cache state, each under ``prefix.``."""
+        self.lsq.publish(stats, f"{prefix}.lsq")
+        self.engine.publish(stats, f"{prefix}.engine")
+        self.media_port.publish(stats, f"{prefix}.media_port")
+        self.bus.publish(stats, f"{prefix}.return_bus")
+        self.wear.publish(stats, f"{prefix}.wear")
+        self.media.publish(stats, f"{prefix}.media")
         if self.lazy is not None:
-            self.lazy.publish(bus, "lazy")
+            self.lazy.publish(stats, f"{prefix}.lazy")
 
     # ------------------------------------------------------------------
     # AIT paths

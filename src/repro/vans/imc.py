@@ -33,21 +33,17 @@ class IntegratedMemoryController:
     """iMC front end over one or more NVRAM DIMMs."""
 
     def __init__(self, config: VansConfig, stats: Optional[StatsRegistry] = None,
-                 track_line_wear: bool = False, instrument=None,
+                 track_line_wear: bool = False,
                  hooks: Optional[Hooks] = None) -> None:
-        from repro.instrument import NULL_BUS
         self.config = config
         self.stats = stats or StatsRegistry()
-        self.instrument = instrument if instrument is not None else NULL_BUS
         self.hooks = hooks if hooks is not None else Hooks()
         self.interleaver = Interleaver(
             config.ndimms, config.interleave_bytes, config.interleaved
         )
         self.dimms: List[NvramDimm] = [
             NvramDimm(config.dimm, stats=self.stats,
-                      track_line_wear=track_line_wear,
-                      instrument=self.instrument.scope(f"dimm{i}"),
-                      hooks=self.hooks)
+                      track_line_wear=track_line_wear, hooks=self.hooks)
             for i in range(config.ndimms)
         ]
         self.wpqs: List[FcfsStation] = [
@@ -58,11 +54,6 @@ class IntegratedMemoryController:
         ]
         # Serial per-channel write path draining the WPQ into the DIMM.
         self.write_buses: List[Server] = [Server() for _ in range(config.ndimms)]
-        for i in range(config.ndimms):
-            channel = self.instrument.scope(f"channel{i}")
-            self.wpqs[i].publish(channel, "wpq")
-            self.rpqs[i].publish(channel, "rpq")
-            self.write_buses[i].publish(channel, "write_bus")
         self._c_reads = self.stats.counter("imc.reads")
         self._c_writes = self.stats.counter("imc.writes")
         self._c_fences = self.stats.counter("imc.fences")
@@ -70,6 +61,18 @@ class IntegratedMemoryController:
         self._ddrt_request_ps = config.dimm.timing.ddrt_request_ps
         self._wpq_xfer_ps = config.dimm.timing.wpq_xfer_ps
         self._map = self.interleaver.map
+
+    def publish(self, stats: StatsRegistry, prefix: str) -> None:
+        """Register pull-gauges on ``stats``: every DIMM's under
+        ``prefix.dimm<i>``, then every channel's WPQ, RPQ and write bus
+        under ``prefix.channel<i>``."""
+        for i, dimm in enumerate(self.dimms):
+            dimm.publish(stats, f"{prefix}.dimm{i}")
+        for i in range(len(self.dimms)):
+            channel = f"{prefix}.channel{i}"
+            self.wpqs[i].publish(stats, f"{channel}.wpq")
+            self.rpqs[i].publish(stats, f"{channel}.rpq")
+            self.write_buses[i].publish(stats, f"{channel}.write_bus")
 
     def profile_points(self):
         """Host-profiler attribution points (see ``TargetSystem``)."""

@@ -29,16 +29,11 @@ class MemoryModeSystem(TargetSystem):
         dram_capacity: int = 4 * GIB,
         dram_timing: DDR4Timing = DDR4_2666,
         dram_channels: int = 4,
-        instrument=None,
     ) -> None:
-        from repro.instrument import NULL_BUS
         super().__init__()
-        self.instrument = instrument if instrument is not None else NULL_BUS
         # the backing NVRAM records and injects with this system but
         # never ticks: each request ticks once, here
-        self.nvram = VansSystem(nvram_config,
-                                instrument=self.instrument.scope("nvram"),
-                                hooks=self.hooks.nested())
+        self.nvram = VansSystem(nvram_config, hooks=self.hooks.nested())
         self.dram = DramDevice(dram_timing, nchannels=dram_channels,
                                capacity_bytes=dram_capacity)
         self.dram_capacity = dram_capacity
@@ -46,6 +41,7 @@ class MemoryModeSystem(TargetSystem):
         # direct-mapped tag store: set index -> (tag, dirty)
         self._tags: Dict[int, tuple] = {}
         self.stats = StatsRegistry()
+        self.stats.nest("nvram", self.nvram.stats)
         self._c_hits = self.stats.counter("memmode.hits")
         self._c_misses = self.stats.counter("memmode.misses")
         self._c_writebacks = self.stats.counter("memmode.writebacks")
@@ -121,16 +117,3 @@ class MemoryModeSystem(TargetSystem):
     def reset_state(self) -> None:
         self._tags.clear()
         self.nvram.reset_state()
-
-    def instrument_snapshot(self) -> dict:
-        """Cache-layer stats plus the backing NVRAM system's snapshot."""
-        snap = dict(self.stats.snapshot())
-        for path, value in self.nvram.instrument_snapshot().items():
-            snap[f"nvram.{path}"] = value
-        return snap
-
-    def stat_registries(self) -> list:
-        """Own cache stats plus the inner NVRAM system's registry (the
-        telemetry sampler reads both; the nvram bus gauges already land
-        on this system's root bus via the ``nvram.`` scope)."""
-        return [self.stats, self.nvram.stats]

@@ -24,17 +24,16 @@ class VansSystem(TargetSystem):
     """App Direct-mode NVRAM memory system (iMC + Optane-like DIMMs)."""
 
     def __init__(self, config: Optional[VansConfig] = None,
-                 track_line_wear: bool = False, instrument=None,
+                 track_line_wear: bool = False,
                  hooks: Optional[Hooks] = None) -> None:
-        from repro.instrument import NULL_BUS
         super().__init__(hooks)
         self.config = config or VansConfig()
         self.stats = StatsRegistry()
-        self.instrument = instrument if instrument is not None else NULL_BUS
         self.imc = IntegratedMemoryController(
             self.config, stats=self.stats, track_line_wear=track_line_wear,
-            instrument=self.instrument.scope("imc"), hooks=self.hooks,
+            hooks=self.hooks,
         )
+        self.imc.publish(self.stats, "imc")
         self.name = f"vans-{self.config.ndimms}dimm"
         self._hist_read = self.stats.histogram("vans.read_latency_ps")
         self._hist_write = self.stats.histogram("vans.write_latency_ps")
@@ -121,13 +120,6 @@ class VansSystem(TargetSystem):
 
     def counters(self) -> dict:
         return self.stats.snapshot()
-
-    def instrument_snapshot(self) -> dict:
-        """Structured observability snapshot: stats counters plus the
-        pull-gauges of every queueing station on the instrument bus."""
-        snap = dict(self.stats.snapshot())
-        snap.update(self.instrument.snapshot())
-        return snap
 
     def line_of(self, addr: int) -> int:
         return align_down(addr, CACHE_LINE)

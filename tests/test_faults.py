@@ -251,6 +251,30 @@ class TestObservabilityWiring:
         assert not any(k.startswith("faults.")
                        for k in second.instrument_snapshot())
 
+    def test_memory_mode_built_first_carries_fault_gauges(self):
+        from repro import registry
+        from repro.instrument import Collection
+        injector = FaultInjector(power_cut_plan(at_request=10**9))
+        with Collection() as col, session(injector):
+            first = registry.build("memory-mode")
+            second = registry.build("vans")
+        assert "faults.power_cuts" in first.instrument_snapshot()
+        assert "faults.power_cuts" in col.merged()
+        assert not any(k.startswith("faults.")
+                       for k in second.instrument_snapshot())
+
+    def test_fault_gauges_skip_systems_outside_vans(self):
+        """Only a VANS or Memory Mode system hosts the fault gauges: a
+        baseline built first leaves them to the next VANS build."""
+        from repro import registry
+        injector = FaultInjector(power_cut_plan(at_request=10**9))
+        with session(injector):
+            baseline = registry.build("ramulator-ddr4")
+            vans = registry.build("vans")
+        assert not any(k.startswith("faults.")
+                       for k in baseline.instrument_snapshot())
+        assert "faults.power_cuts" in vans.instrument_snapshot()
+
     def test_empty_plan_publishes_no_gauges(self):
         from repro import registry
         injector = FaultInjector(FaultPlan())

@@ -22,7 +22,11 @@ The digests were recorded from the implementation in which each station
 held its own flight recorder and fault injector.  Any change to what an
 observer sees, or in which order, fails them.  Re-record only for a
 deliberate change to an observer, by running :func:`digests` against
-that change's parent tree.
+that change's parent tree.  ``memory-mode-bare``, ``memory-mode-plan``
+and ``cpu-mcf`` were re-recorded when each system's gauges moved into
+its stats registry: Memory Mode telemetry names its NVRAM counters
+``nvram.<name>``, its snapshot carries the ``faults.*`` gauges, and
+``backend_counters`` includes the VANS station gauges.
 """
 
 from __future__ import annotations
@@ -198,9 +202,9 @@ GOLDEN = {
     'vans-lazy-plan': (
         'a8ac69d7974e7a66da4a76fd2461d664abc17ae7c23ceb8091a9741eaffbf56f'),
     'memory-mode-bare': (
-        '4b868aab3bf3e507d35f5b68f50d459f3f988845222394560b6923c85bdffd9f'),
+        'a495f3b04c6a1164ccf653fbc702d442d173f3a1e12970e7dc5f3c1a9bf369fb'),
     'memory-mode-plan': (
-        'e27ec1b75d770dbb186ffa98c4ff8b6e24c7a27550a97f38cdc635de21ac8618'),
+        '13d40302eb82443497cbfdbcc63825116ceb564c8b4d05bb74eab4b01220fa18'),
     'pmep-bare': (
         '12233fcdc31b3e49fa766a213f17b31af6d2460492fd40ad94d32d5cfaf89bac'),
     'pmep-plan': (
@@ -222,7 +226,7 @@ GOLDEN = {
     'ramulator-pcm-plan': (
         '590d99f37cd8c291f88998b441b0ca0505fcd40972ee89e23b18d5ea6621a1e0'),
     'cpu-mcf': (
-        '2f84d104338fb33d67a985ee6a4dae67fed010567dadc1f65f74af29838fdb9a'),
+        '9ff8ba9ab697e7ea1a3c0aa31621f9d64ab7173766b7b6826d8f7eae9ba60907'),
 }
 
 

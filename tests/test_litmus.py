@@ -328,6 +328,14 @@ class TestCampaign:
         assert counters["litmus.ok"] == 6
         assert counters["litmus.violations"] == 0
 
+    def test_progress_frames_carry_the_counters(self):
+        from repro.progress import ProgressReporter
+        frames = []
+        run_campaign(2, 6, progress=ProgressReporter(
+            emit=frames.append, min_wall_s=0.0))
+        assert frames[0]["phase"] == "litmus-campaign"
+        assert frames[-1]["telemetry"]["litmus.cases"] == 6
+
     def test_targets_round_robin(self):
         report = run_campaign(1, 6, targets=("vans", "vans-lazy"))
         names = [v["case"]["name"] for v in report.get("violations", [])]

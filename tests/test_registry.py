@@ -1,5 +1,7 @@
 """The unified target registry."""
 
+import gc
+
 import pytest
 
 from repro import registry
@@ -11,6 +13,7 @@ from repro.common.errors import (
 )
 from repro.instrument import Collection
 from repro.vans.config import VansConfig
+from repro.vans.memory_mode import MemoryModeSystem
 from repro.vans.system import VansSystem
 
 
@@ -75,11 +78,36 @@ class TestInstrumentation:
         snap = system.instrument_snapshot()
         assert any(".media_port." in k for k in snap)
 
-    def test_plain_construction_stays_uninstrumented(self):
-        system = VansSystem()
-        system.read(0, 0)
-        assert not any(".media_port." in k
-                       for k in system.instrument_snapshot())
+    def test_bare_construction_snapshots_like_registry_build(self):
+        """A bare constructor publishes the same signals the registry's
+        build does: one stats registry per system, no opt-in."""
+        for name, bare in (("vans", VansSystem),
+                           ("memory-mode", MemoryModeSystem)):
+            snapshots = []
+            for system in (bare(), registry.build(name)):
+                now = 0
+                for i in range(64):
+                    now = system.read(i * 4096, now)
+                    now = system.write(i * 64, now)
+                    if i % 16 == 15:
+                        now = system.fence(now)
+                snapshots.append(system.instrument_snapshot())
+            assert snapshots[0] == snapshots[1], name
+            assert any(".media_port." in k for k in snapshots[0]), name
+
+    def test_dropped_systems_leave_no_cyclic_garbage(self):
+        """No gauge closes over an object that holds its registry, so a
+        system is freed by reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            for name in registry.target_names(systems_only=True):
+                system = registry.build(name)
+                system.write(0, system.read(0, 0))
+                del system
+                assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
     def test_collection_gathers_registry_builds(self):
         with Collection() as col:

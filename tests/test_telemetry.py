@@ -9,7 +9,7 @@ from repro import registry
 from repro.common.errors import ConfigError
 from repro.experiments.common import Scale
 from repro.experiments.runner import run_all, run_experiment
-from repro.instrument import InstrumentBus
+from repro.engine.stats import StatsRegistry
 from repro.telemetry import (
     NULL_TELEMETRY,
     TelemetrySampler,
@@ -95,15 +95,33 @@ class TestSamplerBasics:
 
         class Broken:
             def __init__(self):
-                self.instrument = InstrumentBus()
-                self.instrument.counter("ok").add(5)
-                self.instrument.gauge("bad", lambda: 1 // 0)
+                self.stats = StatsRegistry()
+                self.stats.counter("ok").add(5)
+                self.stats.gauge("bad", lambda: 1 // 0)
 
         sampler.attach(Broken())
         sampler.tick(2_000)
         sampler.finalize()
         assert sampler.timeline.errors == ["bad"]
         assert sampler.timeline.series["ok"].final == 5
+
+    @pytest.mark.parametrize("name",
+                             registry.target_names(systems_only=True))
+    def test_series_paths_are_snapshot_keys(self, name):
+        """Telemetry and the snapshot name every signal alike."""
+        sampler = TelemetrySampler(interval_ps=1_000)
+        with session(sampler):
+            system = registry.build(name)
+            now = 0
+            for i in range(40):
+                now = system.read(i * 4096, now)
+                now = system.write(i * 64, now)
+                if i % 8 == 7:
+                    now = system.fence(now)
+        snapshot = system.instrument_snapshot()
+        missing = [path for path in sampler.timeline.series
+                   if path not in snapshot]
+        assert missing == []
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -114,8 +132,8 @@ class TestSamplerBasics:
 
         class WithHist:
             def __init__(self):
-                self.instrument = InstrumentBus()
-                h = self.instrument.histogram("lat")
+                self.stats = StatsRegistry()
+                h = self.stats.histogram("lat")
                 for v in (10, 20, 30):
                     h.record(v)
 
