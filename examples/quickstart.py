@@ -61,7 +61,7 @@ def main() -> None:
     print("\nInternal counters after those runs:")
     interesting = ("dimm.rmw_hits", "dimm.rmw_misses", "dimm.ait_misses",
                    "dimm.combined_write_ops", "dimm.partial_write_ops")
-    counters = system.counters()
+    counters = system.instrument_snapshot()
     for key in interesting:
         print(f"  {key:<26} {counters.get(key, 0)}")
 

@@ -64,7 +64,7 @@ class EnergyReport:
 def energy_of(system: VansSystem,
               costs: EnergyCosts = EnergyCosts()) -> EnergyReport:
     """Compute the energy a VansSystem's activity so far consumed."""
-    counters = system.counters()
+    counters = system.instrument_snapshot()
     report = EnergyReport()
 
     media_reads = counters.get("media.reads", 0)
@@ -73,7 +73,11 @@ def energy_of(system: VansSystem,
     report.by_component["media-write"] = (media_writes
                                           * costs.media_write_pj * PJ)
 
-    dram_ops = counters.get("dram.reads", 0) + counters.get("dram.writes", 0)
+    # each DIMM's on-DIMM DRAM (AIT and RMW buffer) counts in its own
+    # registry, not in the system's
+    dram_ops = sum(dimm.dram.stats.counter("dram.reads").value
+                   + dimm.dram.stats.counter("dram.writes").value
+                   for dimm in system.imc.dimms)
     report.by_component["on-dimm-dram"] = dram_ops * costs.dram_access_pj * PJ
 
     sram_ops = counters.get("dimm.rmw_hits", 0) + counters.get(

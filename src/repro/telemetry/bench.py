@@ -55,19 +55,16 @@ SUITES: Dict[str, Tuple[str, ...]] = {
     "characterize": ("fig3", "fig8"),
     # supporting studies beyond the paper's figures
     "extensions": ("scaling", "ablation", "energy", "numa", "bandwidth"),
-    # everything in the registry
-    "full": (),
 }
 
 
 def suite_ids(suite: str) -> List[str]:
-    """Experiment ids for a named suite (``full`` -> whole registry)."""
-    from repro.experiments.runner import REGISTRY, validate_ids
+    """Experiment ids for a named suite."""
+    from repro.experiments.runner import validate_ids
     if suite not in SUITES:
         raise KeyError(
             f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
-    ids = SUITES[suite]
-    return validate_ids(list(ids)) if ids else list(REGISTRY)
+    return validate_ids(list(SUITES[suite]))
 
 
 def _count_requests(instrumentation: Mapping[str, object]) -> int:

@@ -118,8 +118,5 @@ class VansSystem(TargetSystem):
     def wear_migrations(self) -> int:
         return sum(d.wear.migrations for d in self.imc.dimms)
 
-    def counters(self) -> dict:
-        return self.stats.snapshot()
-
     def line_of(self, addr: int) -> int:
         return align_down(addr, CACHE_LINE)

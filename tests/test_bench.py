@@ -1,6 +1,7 @@
 """repro-bench: suite runs, document schema, baseline diff + gate."""
 
 import copy
+import glob
 import json
 import os
 
@@ -20,6 +21,8 @@ from repro.telemetry.bench import (
 )
 from repro.tools import bench_cli
 
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
 
 @pytest.fixture(scope="module")
 def tiny_doc():
@@ -37,9 +40,20 @@ class TestSuites:
             ids = suite_ids(name)
             assert ids, name
 
-    def test_full_is_whole_registry(self):
+    def test_suites_cover_the_registry(self):
+        """Every experiment runs in exactly one suite, and each suite's
+        ``bench/<suite>/`` holds one baseline, of exactly that suite's
+        experiments: CI gates each suite against it, and the paper
+        claims in ``tests/test_experiments_doc.py`` read it."""
         from repro.experiments.runner import REGISTRY
-        assert suite_ids("full") == list(REGISTRY)
+        assert sorted(i for ids in SUITES.values() for i in ids) == \
+            sorted(REGISTRY)
+        assert sorted(os.listdir(BENCH_DIR)) == sorted(SUITES)
+        for name, ids in SUITES.items():
+            paths = glob.glob(os.path.join(BENCH_DIR, name, "BENCH_*.json"))
+            assert len(paths) == 1, name
+            with open(paths[0], encoding="utf-8") as fh:
+                assert sorted(json.load(fh)["experiments"]) == sorted(ids)
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError):

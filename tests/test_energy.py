@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.energy import EnergyCosts, energy_of
+from repro.energy import PJ, EnergyCosts, energy_of
 from repro.vans import VansConfig, VansSystem
 
 
@@ -81,6 +81,26 @@ def test_lazy_cache_saves_media_write_energy(fast_wear_config):
         return energy_of(system).by_component["media-write"]
 
     assert energy(True) < energy(False)
+
+
+@pytest.mark.parametrize("ndimms", [1, 6])
+def test_on_dimm_dram_counts_every_dimm(ndimms):
+    """Each DIMM's on-DIMM DRAM (AIT and RMW buffer fills) counts its
+    accesses in that DIMM's own registry, not in the system's."""
+    system = VansSystem(VansConfig().with_dimms(ndimms))
+    now = 0
+    for i in range(200):
+        now = system.read(i * 4096, now)
+    for i in range(200):
+        now = system.write(i * 4096 + 64, now)
+    system.fence(now)
+    per_dimm = [d.dram.stats.counter("dram.reads").value
+                + d.dram.stats.counter("dram.writes").value
+                for d in system.imc.dimms]
+    assert all(per_dimm)
+    costs = EnergyCosts()
+    assert energy_of(system, costs).by_component["on-dimm-dram"] == \
+        pytest.approx(sum(per_dimm) * costs.dram_access_pj * PJ)
 
 
 def test_custom_costs():

@@ -39,6 +39,11 @@ class TestFig5:
         assert result.metrics["read_inflections"] == str([16 * KIB, 16 * MIB])
         assert result.metrics["write_inflections"] == str([512, 4 * KIB])
 
+    def test_wide_block_flattens_the_curve(self):
+        # with 256B PC-blocks the buffer fills amortize: shallower curve
+        result = fig05.run_latency(block=256)
+        assert max(result.series["ld"].values) < 250
+
     def test_raw_converges(self):
         result = fig05.run_raw()
         assert result.metrics["raw_over_rpw_small"] > 1.5
@@ -58,6 +63,7 @@ class TestFig6:
     def test_write_combine_size(self):
         result = fig06.run_write()
         assert result.metrics["lsq_combine_size"] == 256
+        assert result.metrics["wpq_flush_bytes"] == 512
 
 
 class TestFig7:
@@ -121,10 +127,18 @@ class TestFig9:
         result = fig09.run_latency(ndimms=1)
         assert result.metrics["acc_lat_ld"] > 0.85
 
+    def test_interleaved_read_latency_accuracy(self):
+        result = fig09.run_latency(ndimms=6)
+        assert result.metrics["acc_lat_ld"] > 0.7
+
     def test_amplification_tracks_expectation(self):
         result = fig09.run_read_amplification()
         for _, measured, expected in result.rows:
             assert measured == pytest.approx(expected, abs=0.5)
+
+    def test_overwrite_tail_interval(self):
+        result = fig09.run_overwrite()
+        assert result.metrics["interval_accuracy"] > 0.8
 
     def test_overall_accuracy_near_paper(self):
         result = fig09.run_accuracy()

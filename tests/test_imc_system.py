@@ -99,7 +99,7 @@ class TestVansSystem:
 
     def test_counters_exposed(self, vans):
         vans.read(0, 0)
-        assert vans.counters()["dimm.reads"] == 1
+        assert vans.instrument_snapshot()["dimm.reads"] == 1
 
     def test_interleaving_speeds_up_scattered_writes(self):
         def burst_time(ndimms):

@@ -34,7 +34,7 @@ def test_routing_counters(numa):
 def test_remote_addresses_rebased(numa):
     """Remote accesses land at node-local offsets on the remote system."""
     numa.read(1 * GIB, 0)  # first byte of node 1
-    assert numa.remote.counters()["dimm.reads"] == 1
+    assert numa.remote.instrument_snapshot()["dimm.reads"] == 1
 
 
 def test_link_serializes_remote_traffic():

@@ -72,7 +72,7 @@ def test_interleaving_preserves_request_counts(addrs, ndimms):
     for addr in addrs:
         now = system.read(addr, now)
     per_dimm = [d.stats for d in system.imc.dimms]
-    total = system.counters()["dimm.reads"]
+    total = system.instrument_snapshot()["dimm.reads"]
     assert total == len(addrs)
 
 
@@ -105,7 +105,7 @@ def test_counters_match_traffic(ops):
         else:
             now = system.read(addr, now)
             reads += 1
-    counters = system.counters()
+    counters = system.instrument_snapshot()
     assert counters["imc.reads"] == reads
     assert counters["imc.writes"] == writes
 
